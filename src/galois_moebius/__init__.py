@@ -19,12 +19,10 @@ from .errors import (
     EvenParameter,
     GaloisMoebiusError,
     InternalInvariantError,
-    InvariantCheckFailed,
     LevelMismatch,
     NotFound,
     NotInvolution,
     NotPrime,
-    OracleMismatch,
     ParseError,
     ReducibleModulus,
     SingularMatrix,

@@ -90,13 +90,5 @@ class VerificationError(GaloisMoebiusError):
     """Two routes that must agree disagreed."""
 
 
-class InvariantCheckFailed(VerificationError):
-    """A polynomial harvested by the enumeration failed the direct check."""
-
-
-class OracleMismatch(VerificationError):
-    """Closed-form result disagrees with the brute-force oracle."""
-
-
 class InternalInvariantError(GaloisMoebiusError):
     """An internal consistency assertion failed; this is a bug."""

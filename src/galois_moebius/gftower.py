@@ -11,11 +11,12 @@ F_p.  Consequences used throughout:
 * a base-level element embeds into any extension as the same int;
 * in characteristic 2, addition at every level is integer xor.
 
-Levels build lookup tables sized to fit: discrete exp/log tables (for mul,
-inv, pow) whenever the level has at most 2**16 elements, plus lazy per-row
-multiplication and addition tables used by the polynomial inner loops when
-the level has at most 2048 elements.  Larger levels fall back to generic
-arithmetic delegated to the level below.
+The prime field uses direct modular arithmetic.  Extension levels build
+discrete exp/log tables (for mul, inv, pow) whenever they have at most
+2**16 elements.  Every level with at most 2048 elements also gets lazy
+per-row multiplication and addition tables used by the polynomial inner
+loops.  Larger extension levels fall back to generic arithmetic delegated
+to the level below.
 
 Moduli default to the lexicographically smallest monic irreducible of the
 right degree, where coefficient vectors are compared constant term first
@@ -102,16 +103,6 @@ class Level:
                     mult *= _p
                 return out
 
-            def _addd(a, b, _p=p):
-                out = 0
-                mult = 1
-                while a or b:
-                    out += ((a % _p) + (b % _p)) % _p * mult
-                    a //= _p
-                    b //= _p
-                    mult *= _p
-                return out
-
             self.neg = _neg
             if size <= _ROW_CAP:
                 self._add_rows = [None] * size
@@ -124,7 +115,7 @@ class Level:
 
                 self.add = _add
             else:
-                self.add = _addd
+                self.add = self._addd
             self.sub = lambda a, b: self.add(a, self.neg(b))
 
         if self._exp is not None:
@@ -165,26 +156,21 @@ class Level:
         self._mul_rows[a] = row
         return row
 
-    def _build_add_row(self, a):
+    def _addd(self, a, b):
+        """Digitwise sum of two codes over F_p, for odd p."""
         p = self.p
-        digits_a = []
-        aa = a
-        while aa:
-            digits_a.append(aa % p)
-            aa //= p
-        row = []
-        for b in range(self.size):
-            out = 0
-            mult = 1
-            bb = b
-            i = 0
-            while bb or i < len(digits_a):
-                da = digits_a[i] if i < len(digits_a) else 0
-                out += (da + bb % p) % p * mult
-                bb //= p
-                mult *= p
-                i += 1
-            row.append(out)
+        out = 0
+        mult = 1
+        while a or b:
+            out += ((a % p) + (b % p)) % p * mult
+            a //= p
+            b //= p
+            mult *= p
+        return out
+
+    def _build_add_row(self, a):
+        addd = self._addd
+        row = [addd(a, b) for b in range(self.size)]
         self._add_rows[a] = row
         return row
 
@@ -387,15 +373,14 @@ class PrimeLevel(Level):
             raise NotPrime(f"{p} is not prime")
         self.p = p
         self.size = p
+        # direct modular forms: the prime field needs no tables
         if p == 2:
-            self._exp, self._log = [1, 1], [0, 0]
+            self.add = self.sub = lambda a, b: a ^ b
+            self.neg = lambda a: a
         else:
-            self._build_exp_log_prime()
-        self._install_scalar_ops()
-        # direct modular forms beat table indirection for the prime field
-        self.add = (lambda a, b: a ^ b) if p == 2 else (lambda a, b: (a + b) % p)
-        self.sub = (lambda a, b: a ^ b) if p == 2 else (lambda a, b: (a - b) % p)
-        self.neg = (lambda a: a) if p == 2 else (lambda a: (-a) % p)
+            self.add = lambda a, b: (a + b) % p
+            self.sub = lambda a, b: (a - b) % p
+            self.neg = lambda a: (-a) % p
         self.mul = lambda a, b: (a * b) % p
 
         def _inv(a):
@@ -416,30 +401,11 @@ class PrimeLevel(Level):
 
         self.inv = _inv
         self.pow = _pow
+        if p <= _ROW_CAP:
+            self._mul_rows = [None] * p
+            if p != 2:
+                self._add_rows = [None] * p
         self._install_poly_ops()
-
-    def _build_exp_log_prime(self):
-        p = self.p
-        if p - 1 == 1:
-            self._exp, self._log = [1, 1], [0, 0]
-            return
-        prime_parts = [(p - 1) // r for r in factorize(p - 1)]
-        gen = next(g for g in range(2, p) if all(pow(g, m, p) != 1 for m in prime_parts))
-        order = p - 1
-        exp = [1] * (2 * order)
-        acc = 1
-        for i in range(1, order):
-            acc = acc * gen % p
-            exp[i] = acc
-        for i in range(order, 2 * order):
-            exp[i] = exp[i - order]
-        log = [0] * p
-        for i in range(order):
-            log[exp[i]] = i
-        self._exp, self._log = exp, log
-
-    def _mul_generic(self, a, b):
-        return (a * b) % self.p
 
     def decode(self, a):
         return [a]
@@ -682,9 +648,6 @@ class TowerEmbedding:
             a //= q
             i += 1
         return out
-
-    def embed_poly(self, coeffs) -> list[int]:
-        return [self.embed(c) for c in coeffs]
 
 
 class FieldTower:

@@ -24,9 +24,7 @@ those raise DegreeTooSmall and are served by the census instead.
 from __future__ import annotations
 
 import itertools
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -183,9 +181,9 @@ def plan_enumeration(g, degree: int, cap: int | None = DEFAULT_ENUM_CAP) -> Enum
     if gcd(s, span) != 1:
         return plan(s, (), (), False, f"degree/{D} = {s} shares a factor with {span}")
     if cap is not None:
-        # for a pure Frobenius element the cost driver is the subfield
-        # scan, not a fixing polynomial
-        work = tower.top.size**s if pure else base_power**s + 1
+        # for a pure Frobenius element the cost driver is the scan over
+        # index-t subfield coefficients, not a fixing polynomial
+        work = base_power**s if pure else base_power**s + 1
         if work > cap:
             raise DegreeTooLarge(
                 f"enumeration size {work} exceeds the cap {cap}; "
@@ -214,13 +212,14 @@ def enumerate_invariants(
     t, s = plan.frob_index, plan.s
     if plan.pure_frobenius:
         # the element generates the same group as sigma_t alone, so the
-        # fixed polynomials are exactly those with coefficients in the
-        # index-t subfield; no fixing polynomial is needed
+        # fixed polynomials are exactly the irreducibles with coefficients
+        # in the index-t subfield; no fixing polynomial is needed
+        subfield = [a for a in level.elements_lex() if level.frob(a, t) == a]
         out = []
-        for coeffs in polyring.monic_irreducibles(level, degree):
-            f = Poly(level, coeffs)
-            if frobenius_poly(f, t) == f:
-                out.append(f)
+        for tail in itertools.product(subfield, repeat=degree):
+            cand = [*tail, 1]
+            if tail[0] and polyring._irreducible(level, cand):
+                out.append(Poly(level, cand))
         return tuple(sorted(out))
     rng = random.Random(seed)
     found: dict[tuple[int, ...], Poly] = {}
@@ -279,42 +278,11 @@ class CensusReport:
         }
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    try:
-        return max(1, int(os.environ.get("GALOIS_MOEBIUS_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _scan_degree(g, level: Level, k: int, threads: int) -> tuple[Poly, ...]:
-    candidates = polyring.monic_irreducibles(level, k)
-    if threads == 1 or len(candidates) < 4 * threads:
-        return tuple(
-            f
-            for f in (Poly(level, c) for c in candidates)
-            if is_invariant(g, f)
-        )
-    step = (len(candidates) + threads - 1) // threads
-
-    def work(chunk):
-        return [f for f in (Poly(level, c) for c in chunk) if is_invariant(g, f)]
-
-    out: list[Poly] = []
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        chunks = [candidates[i : i + step] for i in range(0, len(candidates), step)]
-        for part in pool.map(work, chunks):
-            out.extend(part)
-    return tuple(out)
-
-
 def census(
     g,
     degrees,
     budget: int = DEFAULT_CENSUS_BUDGET,
     level: Level | None = None,
-    threads: int | None = None,
 ) -> CensusReport:
     """Exhaustive fixed-polynomial scan over whole degrees.
 
@@ -327,7 +295,6 @@ def census(
     degrees = [int(k) for k in degrees]
     if any(k < 1 for k in degrees):
         raise DomainError("census degrees must be >= 1")
-    nthreads = _thread_count(threads)
     for k in degrees:
         if level.size**k > budget:
             raise BudgetExceeded(
@@ -335,7 +302,8 @@ def census(
             )
     entries = []
     for k in degrees:
-        polys = _scan_degree(g, level, k, nthreads)
+        candidates = (Poly(level, c) for c in polyring.monic_irreducibles(level, k))
+        polys = tuple(f for f in candidates if is_invariant(g, f))
         entries.append(CensusEntry(k, len(polys), polys))
     element = f"{g.mat.to_text()} | frob={g.frob}"
     report = CensusReport(element, level.size, budget, tuple(entries))
@@ -588,7 +556,6 @@ def involution_ratio_check(
     mat: Mat2,
     half_degree: int,
     budget: int = DEFAULT_CENSUS_BUDGET,
-    threads: int | None = None,
 ) -> RatioCheckResult:
     """For an involution with entries in F_q inside a quadratic tower,
     census both fixed families and test the 2:1 count relation."""
@@ -605,12 +572,8 @@ def involution_ratio_check(
         raise EvenParameter(f"half-degree {m} is even; the relation needs odd m")
     if m < 3:
         raise DegreeTooSmall("half-degree 1 is excluded from the relation")
-    twisted = census(
-        Semilinear(mat, 1), [m], budget=budget, level=tower.top, threads=threads
-    )
-    classical = census(
-        Semilinear(mat, 2), [2 * m], budget=budget, level=tower.mid, threads=threads
-    )
+    twisted = census(Semilinear(mat, 1), [m], budget=budget, level=tower.top)
+    classical = census(Semilinear(mat, 2), [2 * m], budget=budget, level=tower.mid)
     tc = twisted.entries[0].count
     cc = classical.entries[0].count
     return RatioCheckResult(m, tc, cc, tc == 2 * cc)

@@ -325,6 +325,8 @@ class Poly:
                 if c.level is not level:
                     raise LevelMismatch("coefficient from a different level")
                 cs.append(c.val)
+        if cs and (min(cs) < 0 or max(cs) >= level.size):
+            raise DomainError(f"element codes {cs} out of range for {level!r}")
         object.__setattr__(self, "coeffs", tuple(_trim(cs)))
 
     def __setattr__(self, *_):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import invariants, polyring
-from .errors import DegreeTooLarge, DegreeTooSmall, SingularMatrix
+from .errors import DegreeTooLarge, DegreeTooSmall, DomainError, SingularMatrix
 from .gftower import build_tower
 from .invariants import (
     census,
@@ -340,7 +340,7 @@ def run_suite(name: str, seed: int = 0) -> list[CheckResult]:
         return _suite_formulas(seed)
     if name == "all":
         return run_all(seed)
-    raise ValueError(f"unknown suite {name!r}; pick from {SUITES + ('all',)}")
+    raise DomainError(f"unknown suite {name!r}; pick from {SUITES + ('all',)}")
 
 
 def run_all(seed: int = 0) -> list[CheckResult]:

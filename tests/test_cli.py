@@ -72,6 +72,19 @@ def test_invariants_enum(capsys):
     }
 
 
+def test_invariants_pure_frobenius_within_cap(capsys):
+    # [I, sigma] over F_9 at degree 5: the F_3 irreducibles, 3**5 candidates
+    code, out, _ = run(
+        capsys,
+        "invariants", "--p", "3", "--n", "2", "--output", "json",
+        "--matrix", "1;0;0;1", "--frob", "1", "--degree", "5",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["params"]["method"] == "enum"
+    assert doc["result"]["count"] == len(doc["result"]["polynomials"]) == 48
+
+
 def test_invariants_census_fallback(capsys):
     # degree 2 is below the enumeration theory, auto falls back to the scan
     code, out, _ = run(

@@ -1,4 +1,3 @@
-import os
 import random
 from fractions import Fraction
 
@@ -115,6 +114,14 @@ def test_enumerate_matches_census_spot(t212):
             assert is_invariant(g, f)
 
 
+def test_enumerate_pure_frobenius_proper_subfield(t214):
+    # [I, sigma_2] over F_16 with 1 < t < n: irreducibles over F_4
+    g = Semilinear(Mat2.identity(t214), 2)
+    fast = enumerate_invariants(g, 3)
+    assert len(fast) == 20
+    assert list(fast) == sorted(census(g, [3]).entries[0].polynomials)
+
+
 def test_enumerate_infeasible_is_empty(t212):
     g = Semilinear(Mat2.identity(t212), 1)
     assert enumerate_invariants(g, 6) == ()
@@ -135,13 +142,6 @@ def test_census_budget(t212):
     g = Semilinear(Mat2.identity(t212), 1)
     with pytest.raises(BudgetExceeded):
         census(g, [9], budget=4**8)
-
-
-def test_census_thread_env(t212, monkeypatch):
-    g = Semilinear(Mat2(t212, 0, 1, 1, 0), 1)
-    base = census(g, [4]).counts()
-    monkeypatch.setenv("GALOIS_MOEBIUS_THREADS", "3")
-    assert census(g, [4]).counts() == base
 
 
 def test_scrim_counts_agree():

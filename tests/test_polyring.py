@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import galois_moebius as gm
-from galois_moebius.errors import DivisionByZero, ZeroConstantTerm
+from galois_moebius.errors import DivisionByZero, DomainError, ZeroConstantTerm
 from galois_moebius.polyring import (
     Poly,
     count_irreducibles,
@@ -30,6 +30,12 @@ def f9():
 
 def P(level, *coeffs):
     return Poly(level, list(coeffs))
+
+
+def test_constructor_rejects_out_of_range_codes(t212):
+    for coeffs in ([5, 1], [-1, 1], [1, 5, 1]):
+        with pytest.raises(DomainError):
+            Poly(t212.top, coeffs)
 
 
 def test_constructor_trims(f9):

@@ -1,5 +1,6 @@
 import pytest
 
+from galois_moebius.errors import DomainError
 from galois_moebius.verify import SUITES, CheckResult, run_all, run_suite
 
 
@@ -29,5 +30,5 @@ def test_suite_deterministic_for_seed():
 
 
 def test_unknown_suite_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         run_suite("nonsense")

@@ -26,7 +26,6 @@ from .errors import (
     ParseError,
     ReducibleModulus,
     SingularMatrix,
-    VerificationError,
     ZeroConstantTerm,
     ZeroDenominator,
 )

@@ -17,16 +17,12 @@ fixed command line; wall clock timing appears only under --timing.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
 
-from .errors import (
-    CapacityError,
-    DomainError,
-    ParseError,
-    VerificationError,
-)
+from .errors import CapacityError, DegreeTooSmall, DomainError, ParseError
 from .gftower import build_tower
 from .invariants import (
     DEFAULT_CENSUS_BUDGET,
@@ -41,7 +37,6 @@ from .invariants import (
     srim_count,
     srim_polynomials,
 )
-from .errors import DegreeTooSmall
 from .pgammal import Mat2, Semilinear, semilinear_act
 from .polyring import Poly
 from .textio import format_poly, parse_poly
@@ -66,6 +61,7 @@ def _add_output_args(sub):
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="galois-moebius",
@@ -150,7 +146,7 @@ def _emit(args, command: str, params: dict, result: dict, lines: list[str], mill
             print(f"elapsed ms: {millis}")
 
 
-def _cmd_act(args, millis_box):
+def _cmd_act(args):
     tower = build_tower(args.p, args.e, args.n)
     mat = Mat2.parse(tower, args.matrix)
     g = Semilinear(mat, args.frob)
@@ -168,7 +164,7 @@ def _cmd_act(args, millis_box):
     return "act", params, {"poly": token}, [token]
 
 
-def _cmd_invariants(args, millis_box):
+def _cmd_invariants(args):
     tower = build_tower(args.p, args.e, args.n)
     mat = Mat2.parse(tower, args.matrix)
     g = Semilinear(mat, args.frob)
@@ -216,7 +212,7 @@ def _cmd_invariants(args, millis_box):
     return "invariants", params, result, lines
 
 
-def _cmd_scrim(args, millis_box):
+def _cmd_scrim(args):
     tower = build_tower(args.p, args.e, 2)
     q = tower.q
     params = {
@@ -265,7 +261,7 @@ def _cmd_scrim(args, millis_box):
     return "scrim", params, result, lines
 
 
-def _cmd_verify(args, millis_box):
+def _cmd_verify(args):
     checks = run_suite(args.suite, seed=args.seed)
     failed = [c for c in checks if not c.ok]
     result = {
@@ -283,9 +279,6 @@ def _cmd_verify(args, millis_box):
     ]
     lines.append(f"{len(checks) - len(failed)} passed, {len(failed)} failed")
     params = {"suite": args.suite, "seed": args.seed}
-    if failed:
-        millis_box.append(("verify", params, result, lines))
-        raise VerificationError(f"{len(failed)} consistency checks failed")
     return "verify", params, result, lines
 
 
@@ -296,7 +289,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     start = time.perf_counter()
-    pending = []
     try:
         handler = {
             "act": _cmd_act,
@@ -304,7 +296,7 @@ def main(argv=None) -> int:
             "scrim": _cmd_scrim,
             "verify": _cmd_verify,
         }[args.command]
-        command, params, result, lines = handler(args, pending)
+        command, params, result, lines = handler(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -314,15 +306,11 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except VerificationError as exc:
-        if pending:
-            command, params, result, lines = pending[0]
-            millis = int((time.perf_counter() - start) * 1000) if args.timing else None
-            _emit(args, command, params, result, lines, millis)
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
     millis = int((time.perf_counter() - start) * 1000) if args.timing else None
     _emit(args, command, params, result, lines, millis)
+    if command == "verify" and result["failed"]:
+        print(f"error: {result['failed']} consistency checks failed", file=sys.stderr)
+        return 5
     return 0
 
 

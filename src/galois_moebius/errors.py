@@ -1,8 +1,10 @@
 """Exception hierarchy.
 
-Four families map onto the CLI exit codes: ParseError (2), DomainError (3),
-CapacityError (4), VerificationError (5).  InternalInvariantError signals a
-bug in this package rather than bad input; it is never caught by the CLI.
+Three families map onto the CLI exit codes: ParseError (2), DomainError (3)
+and CapacityError (4).  Exit code 5 is not an exception: it means a verify
+report came back with failed checks (the report is still printed).
+InternalInvariantError signals a bug in this package rather than bad input;
+it is never caught by the CLI.
 """
 
 
@@ -84,10 +86,6 @@ class DegreeTooLarge(CapacityError):
 
 class BudgetExceeded(CapacityError):
     """Census candidate space exceeds the configured budget."""
-
-
-class VerificationError(GaloisMoebiusError):
-    """Two routes that must agree disagreed."""
 
 
 class InternalInvariantError(GaloisMoebiusError):

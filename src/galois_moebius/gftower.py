@@ -27,8 +27,6 @@ shared caches.
 
 from __future__ import annotations
 
-import itertools
-
 from . import polyring
 from .errors import (
     DegreeMismatch,
@@ -186,7 +184,7 @@ class Level:
             return 1 if k == 0 else 0
         result = 1
         base = a
-        mul = self._mul_generic if self._exp is None else self.mul
+        mul = self._mul_generic
         while k:
             if k & 1:
                 result = mul(result, base)
@@ -462,8 +460,8 @@ class ExtLevel(Level):
         if not a or not b:
             return 0
         base = self.base
-        va = base_trim(base, self.decode(a))
-        vb = base_trim(base, self.decode(b))
+        va = polyring._trim(self.decode(a))
+        vb = polyring._trim(self.decode(b))
         prod = base.poly_mul(va, vb)
         if len(prod) - 1 >= self.deg:
             prod = base.poly_rem_monic(prod, list(self.modulus))
@@ -471,12 +469,6 @@ class ExtLevel(Level):
 
     def __repr__(self):
         return f"<Level GF({self.size}) over GF({self.base.size})>"
-
-
-def base_trim(level, vec):
-    while vec and not vec[-1]:
-        vec.pop()
-    return vec
 
 
 _PRIME_LEVELS: dict[int, PrimeLevel] = {}
@@ -514,13 +506,24 @@ def first_irreducible(level: Level, k: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree k."""
     if k < 1:
         raise DegreeMismatch("modulus degree must be >= 1")
-    for tail in itertools.product(level.elements_lex(), repeat=k):
-        if k >= 2 and not tail[0]:
-            continue
-        cand = list(tail) + [1]
-        if polyring._irreducible(level, cand):
-            return tuple(cand)
+    for cand in polyring._irreducible_scan(level, k, level.elements_lex()):
+        return tuple(cand)
     raise NotFound("no irreducible of the requested degree")
+
+
+def _q_linear(level, q: int, images, a: int) -> int:
+    """Image of the code a under the F_q-linear map into level that sends
+    the digit position q**i to images[i]."""
+    add, mul = level.add, level.mul
+    out = 0
+    i = 0
+    while a:
+        c = a % q
+        if c:
+            out = add(out, mul(c, images[i]))
+        a //= q
+        i += 1
+    return out
 
 
 class FieldElement:
@@ -636,18 +639,7 @@ class TowerEmbedding:
         self._gen_powers = pw
 
     def embed(self, a: int) -> int:
-        top = self.dst.top
-        add, mul = top.add, top.mul
-        out = 0
-        q = self.src.q
-        i = 0
-        while a:
-            c = a % q
-            if c:
-                out = add(out, mul(c, self._gen_powers[i]))
-            a //= q
-            i += 1
-        return out
+        return _q_linear(self.dst.top, self.src.q, self._gen_powers, a)
 
 
 class FieldTower:
@@ -683,29 +675,15 @@ class FieldTower:
         row1 = [top.pow(v, q) for v in basis]
         if n > 1:
             table.append(row1)
-
-        def apply_row(row, a):
-            add, mul = top.add, top.mul
-            out = 0
-            i = 0
-            while a:
-                c = a % q
-                if c:
-                    out = add(out, mul(c, row[i]))
-                a //= q
-                i += 1
-            return out
-
         for _ in range(2, n):
-            table.append([apply_row(row1, x) for x in table[-1]])
+            table.append([_q_linear(top, q, row1, x) for x in table[-1]])
         self._frob_table = table
-        self._frob_apply = apply_row
 
     def _frob_code(self, a: int, i: int) -> int:
         i %= self.n
         if i == 0 or a < self.q:
             return a
-        return self._frob_apply(self._frob_table[i], a)
+        return _q_linear(self.top, self.q, self._frob_table[i], a)
 
     def frobenius(self, a, i: int = 1):
         """i-th Frobenius power x -> x**(q**i) on the top level."""
@@ -717,16 +695,20 @@ class FieldTower:
 
     def subfield_degree(self, a) -> int:
         """Least t | n with a fixed by the t-th Frobenius power."""
-        code = a.val if isinstance(a, FieldElement) else a
-        for t in divisors(self.n):
-            if self._frob_code(code, t) == code:
-                return t
-        raise AssertionError("unreachable")
+        if not isinstance(a, FieldElement):
+            a = FieldElement(self.top, a)
+        return a.subfield_degree()
+
+    def _level(self, level: str | Level) -> Level:
+        if not isinstance(level, str):
+            return level
+        if level not in ("top", "mid", "bottom"):
+            raise DomainError(f"unknown level name {level!r}; use top, mid or bottom")
+        return getattr(self, level)
 
     def element(self, value, level: str | Level = "top") -> FieldElement:
         """Build a FieldElement from an int code, text, or nested digit lists."""
-        if isinstance(level, str):
-            level = {"top": self.top, "mid": self.mid, "bottom": self.bottom}[level]
+        level = self._level(level)
         if isinstance(value, FieldElement):
             if value.level is not level:
                 raise LevelMismatch("element from a different level")
@@ -740,8 +722,7 @@ class FieldTower:
         return FieldElement(level, coerce_element(level, value))
 
     def poly(self, coeffs, level: str | Level = "top") -> polyring.Poly:
-        if isinstance(level, str):
-            level = {"top": self.top, "mid": self.mid, "bottom": self.bottom}[level]
+        level = self._level(level)
         if isinstance(coeffs, str):
             from .textio import parse_poly
 

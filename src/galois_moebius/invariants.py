@@ -213,14 +213,12 @@ def enumerate_invariants(
     if plan.pure_frobenius:
         # the element generates the same group as sigma_t alone, so the
         # fixed polynomials are exactly the irreducibles with coefficients
-        # in the index-t subfield; no fixing polynomial is needed
+        # in the index-t subfield (scanned in lex order); no fixing
+        # polynomial is needed
         subfield = [a for a in level.elements_lex() if level.frob(a, t) == a]
-        out = []
-        for tail in itertools.product(subfield, repeat=degree):
-            cand = [*tail, 1]
-            if tail[0] and polyring._irreducible(level, cand):
-                out.append(Poly(level, cand))
-        return tuple(sorted(out))
+        return tuple(
+            Poly(level, cs) for cs in polyring._irreducible_scan(level, degree, subfield)
+        )
     rng = random.Random(seed)
     found: dict[tuple[int, ...], Poly] = {}
     for j in plan.twists:
@@ -339,10 +337,7 @@ def scrim_count(q: int, n: int) -> int:
     degree n >= 3 over F_(q**2), by the Moebius inversion formula."""
     prime_power_split(q)
     _check_odd_degree(n)
-    total = sum(moebius_mu(d) * q ** (n // d) for d in divisors(n))
-    if total % n:
-        raise InternalInvariantError("count formula did not divide evenly")
-    return total // n
+    return polyring.count_irreducibles(q, n)
 
 
 def scrim_count_divisor_sum(q: int, n: int) -> int:
@@ -368,10 +363,10 @@ def srim_count(q: int, m: int) -> int:
         raise EvenParameter(f"half-degree {m} is even; the formula needs odd m")
     if m < 3:
         raise DegreeTooSmall("half-degree 1 is excluded from this family")
-    total = sum(moebius_mu(d) * q ** (m // d) for d in divisors(m))
-    if total % (2 * m):
+    count = polyring.count_irreducibles(q, m)
+    if count % 2:
         raise InternalInvariantError("count formula did not divide evenly")
-    return total // (2 * m)
+    return count // 2
 
 
 def conjugate_reciprocal(f: Poly) -> Poly:
@@ -392,10 +387,10 @@ def is_srim(f: Poly) -> bool:
     return reciprocal(f) == f and is_irreducible(f)
 
 
-def _scrim_shape_candidates(tower: FieldTower, degree: int):
-    """Monic candidates satisfying the coefficient symmetry
-    c_(k-i) = c_0 * c_i**q with c_0**(q+1) = 1, in lexicographic order.
-    Irreducibility is the only condition left to test."""
+def _scrim_irreducibles(tower: FieldTower, degree: int):
+    """Yield the irreducibles among the monic candidates satisfying the
+    coefficient symmetry c_(k-i) = c_0 * c_i**q with c_0**(q+1) = 1, in
+    lexicographic order; the symmetry makes them the whole family."""
     if tower.n != 2:
         raise DomainError("this family lives over the top of a quadratic tower")
     _check_odd_degree(degree)
@@ -407,17 +402,15 @@ def _scrim_shape_candidates(tower: FieldTower, degree: int):
     for c0 in units:
         for frees in itertools.product(top.elements_lex(), repeat=m):
             tail = [mul(c0, pw(frees[i], q)) for i in range(m - 1, -1, -1)]
-            yield [c0, *frees, *tail, 1]
+            coeffs = [c0, *frees, *tail, 1]
+            if polyring._irreducible(top, coeffs):
+                yield Poly(top, coeffs)
 
 
 def scrim_polynomials(tower: FieldTower, degree: int) -> tuple[Poly, ...]:
     """All conjugate self-reciprocal monic irreducibles of the given odd
     degree over the tower top F_(q**2), in lexicographic order."""
-    out = []
-    for coeffs in _scrim_shape_candidates(tower, degree):
-        if polyring._irreducible(tower.top, list(coeffs)):
-            out.append(Poly(tower.top, coeffs))
-    return tuple(out)
+    return tuple(_scrim_irreducibles(tower, degree))
 
 
 def construct_scrim(tower: FieldTower, degree: int) -> tuple[Poly, Poly]:
@@ -425,10 +418,8 @@ def construct_scrim(tower: FieldTower, degree: int) -> tuple[Poly, Poly]:
     its coefficientwise conjugate.  The two are distinct (odd degree), are
     each other's sigma_1 images, and multiply to a self-reciprocal
     irreducible of doubled degree over the middle field."""
-    for coeffs in _scrim_shape_candidates(tower, degree):
-        if polyring._irreducible(tower.top, list(coeffs)):
-            f = Poly(tower.top, coeffs)
-            return f, frobenius_poly(f, 1)
+    for f in _scrim_irreducibles(tower, degree):
+        return f, frobenius_poly(f, 1)
     raise NotFound("no conjugate self-reciprocal irreducible of this degree")
 
 
@@ -481,16 +472,20 @@ class LiftCheckResult:
         )
 
 
+def _check_mid_matrix(tower: FieldTower, mat: Mat2):
+    if mat.tower is not tower:
+        raise DomainError("matrix belongs to a different tower")
+    if any(x >= tower.q for x in mat.entries):
+        raise DomainError("matrix entries must lie in the middle field")
+
+
 def lift_check(
     tower: FieldTower, mat: Mat2, f: Poly, frob_index: int | None = None
 ) -> LiftCheckResult:
     """Evaluate the three-way invariance equivalence for a matrix with
     entries in the middle field F_q acting on a top irreducible f."""
-    if mat.tower is not tower:
-        raise DomainError("matrix belongs to a different tower")
+    _check_mid_matrix(tower, mat)
     q, n = tower.q, tower.n
-    if any(x >= q for x in mat.entries):
-        raise DomainError("matrix entries must lie in the middle field")
     if f.level is not tower.top or not f.is_monic or not is_irreducible(f):
         raise DomainError("f must be a monic irreducible over the tower top")
     d = proj_order(mat)
@@ -561,10 +556,7 @@ def involution_ratio_check(
     census both fixed families and test the 2:1 count relation."""
     if tower.n != 2:
         raise DomainError("the ratio check needs a quadratic tower")
-    if mat.tower is not tower:
-        raise DomainError("matrix belongs to a different tower")
-    if any(x >= tower.q for x in mat.entries):
-        raise DomainError("matrix entries must lie in the middle field")
+    _check_mid_matrix(tower, mat)
     if not mat.is_involution():
         raise NotInvolution("the matrix must have projective order 2")
     m = half_degree

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import NotPrime
+from .errors import DomainError, NotPrime
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -73,7 +73,7 @@ def _pollard_rho(n: int) -> int:
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization as {prime: exponent}; n must be >= 1."""
     if n < 1:
-        raise ValueError("factorize needs a positive integer")
+        raise DomainError(f"factorize needs a positive integer, got {n}")
     out: dict[int, int] = {}
     for p in _SMALL_PRIMES:
         while n % p == 0:

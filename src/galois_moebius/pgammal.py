@@ -261,12 +261,8 @@ def moebius_act(mat: Mat2, f: Poly, strict: bool = True) -> Poly | None:
     k = f.degree
     if k < 1:
         raise DegreeTooSmall("the action needs degree >= 1")
-    num = [b, a]
-    den = [d, c]
-    while num and not num[-1]:
-        num.pop()
-    while den and not den[-1]:
-        den.pop()
+    num = polyring._trim([b, a])
+    den = polyring._trim([d, c])
     npow = [[1]]
     dpow = [[1]]
     for _ in range(k):
@@ -280,17 +276,12 @@ def moebius_act(mat: Mat2, f: Poly, strict: bool = True) -> Poly | None:
             for idx, t in enumerate(term):
                 if t:
                     acc[idx] = add(acc[idx], mul(cj, t))
-    while acc and not acc[-1]:
-        acc.pop()
+    acc = polyring._trim(acc)
     if len(acc) - 1 != k:
         if strict:
             raise DomainError("the image degenerates: a root maps to infinity")
         return None
-    lead = acc[-1]
-    if lead != 1:
-        li = level.inv(lead)
-        acc = [mul(li, x) for x in acc]
-    return Poly(level, acc)
+    return Poly(level, polyring._monic(level, acc))
 
 
 def semilinear_act(g: Semilinear, f: Poly) -> Poly:

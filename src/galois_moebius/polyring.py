@@ -22,6 +22,7 @@ import random
 from .errors import (
     DivisionByZero,
     DomainError,
+    InternalInvariantError,
     LevelMismatch,
     ZeroConstantTerm,
 )
@@ -136,6 +137,16 @@ def _pth_root(level, f):
     return [pw(f[i], e) for i in range(0, len(f), p)]
 
 
+def _frobenius_round(level, h, f):
+    """One step of the x**(Q**i) ladder modulo f: from h = x**(Q**i) mod f
+    to h**Q mod f, returned with gcd(h**Q - x, f), the product of the
+    distinct irreducible factors of f whose degree divides i + 1."""
+    h = _powmod(level, h, level.size, f)
+    hx = h + [0] * (2 - len(h))
+    hx[1] = level.sub(hx[1], 1)
+    return h, _gcd(level, _trim(hx), f)
+
+
 def _irreducible(level, f) -> bool:
     f = _monic(level, _trim(list(f)))
     k = len(f) - 1
@@ -150,15 +161,10 @@ def _irreducible(level, f) -> bool:
         for a in range(Q):
             if not _eval(level, f, a):
                 return False
-    sub = level.sub
     h = [0, 1]
     for _ in range(k // 2):
-        h = _powmod(level, h, Q, f)
-        hx = list(h)
-        while len(hx) < 2:
-            hx.append(0)
-        hx[1] = sub(hx[1], 1)
-        if len(_gcd(level, _trim(hx), f)) > 1:
+        h, g = _frobenius_round(level, h, f)
+        if len(g) > 1:
             return False
     return True
 
@@ -200,17 +206,10 @@ def _ddf(level, f, max_degree=None):
     """
     out = []
     rem = list(f)
-    Q = level.size
-    sub = level.sub
     h = [0, 1]
     i = 1
     while len(rem) - 1 >= 2 * i and (max_degree is None or i <= max_degree):
-        h = _powmod(level, h, Q, rem)
-        hx = list(h)
-        while len(hx) < 2:
-            hx.append(0)
-        hx[1] = sub(hx[1], 1)
-        g = _gcd(level, _trim(hx), rem)
+        h, g = _frobenius_round(level, h, rem)
         if len(g) > 1:
             out.append((i, g))
             rem = _exact_div(level, rem, g)
@@ -240,20 +239,16 @@ def _edf(level, f, d, rng):
             r = _trim([rng.randrange(Q) for _ in range(dg)])
             if len(r) < 2:
                 continue
-            split = _gcd(level, r, g)
-            if len(split) - 1 in (0, dg):
-                if level.p == 2:
-                    m = (Q.bit_length() - 1) * d
-                    s = level.poly_rem_monic(list(r), g)
-                    t = list(s)
-                    for _ in range(m - 1):
-                        t = level.poly_rem_monic(level.poly_mul(t, t), g)
-                        s = _add(level, s, t)
-                    split = _gcd(level, s, g)
-                else:
-                    s = _powmod(level, r, (Q**d - 1) // 2, g)
-                    s1 = _sub(level, s, [1])
-                    split = _gcd(level, s1, g)
+            if level.p == 2:
+                m = (Q.bit_length() - 1) * d
+                s = level.poly_rem_monic(list(r), g)
+                t = list(s)
+                for _ in range(m - 1):
+                    t = level.poly_rem_monic(level.poly_mul(t, t), g)
+                    s = _add(level, s, t)
+            else:
+                s = _sub(level, _powmod(level, r, (Q**d - 1) // 2, g), [1])
+            split = _gcd(level, s, g)
             if 0 < len(split) - 1 < dg:
                 work.append(split)
                 work.append(_exact_div(level, g, split))
@@ -300,8 +295,7 @@ def _roots(level, f):
                 found.append(a)
     else:
         # strip to the part that splits in this field, then split off roots
-        x_q_minus_x = _sub(level, _powmod(level, [0, 1], level.size, f), [0, 1])
-        lin = _gcd(level, f, x_q_minus_x)
+        _, lin = _frobenius_round(level, [0, 1], f)
         if len(lin) > 1:
             rng = random.Random(0xC0FFEE)
             for part in _edf(level, lin, 1, rng):
@@ -483,8 +477,20 @@ def count_irreducibles(field_size: int, k: int) -> int:
         raise DomainError("degree must be positive")
     total = sum(moebius_mu(d) * field_size ** (k // d) for d in divisors(k))
     if total % k:
-        raise ArithmeticError("irreducible count was not an integer")
+        raise InternalInvariantError("irreducible count was not an integer")
     return total // k
+
+
+def _irreducible_scan(level, k: int, coeffs):
+    """Yield the monic irreducibles of degree k whose lower coefficients
+    all come from coeffs, as coefficient lists with the leading 1.  With
+    coeffs in lexicographic order the output is in lexicographic order."""
+    for tail in itertools.product(coeffs, repeat=k):
+        if k >= 2 and not tail[0]:
+            continue
+        cand = [*tail, 1]
+        if _irreducible(level, cand):
+            yield cand
 
 
 def monic_irreducibles(level, k: int) -> tuple[tuple[int, ...], ...]:
@@ -493,19 +499,9 @@ def monic_irreducibles(level, k: int) -> tuple[tuple[int, ...], ...]:
     coefficient order."""
     cache = level._irr_cache
     got = cache.get(k)
-    if got is not None:
-        return got
-    elems = level.elements_lex()
-    out = []
-    skip_zero_c0 = k >= 2
-    for tail in itertools.product(elems, repeat=k):
-        if skip_zero_c0 and not tail[0]:
-            continue
-        cand = list(tail) + [1]
-        if _irreducible(level, cand):
-            out.append(tuple(cand))
-    got = tuple(out)
-    cache[k] = got
+    if got is None:
+        got = tuple(map(tuple, _irreducible_scan(level, k, level.elements_lex())))
+        cache[k] = got
     return got
 
 

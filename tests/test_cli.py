@@ -199,3 +199,21 @@ def test_verify_single_suite(capsys):
     doc = json.loads(out)
     assert doc["result"]["failed"] == 0
     assert all(c["ok"] for c in doc["result"]["checks"])
+
+
+def test_verify_failure_exits_5_with_report(capsys, monkeypatch):
+    from galois_moebius import cli
+    from galois_moebius.verify import CheckResult
+
+    def failing_suite(suite, seed=0):
+        return [CheckResult(suite, "forced", False, "made to fail")]
+
+    monkeypatch.setattr(cli, "run_suite", failing_suite)
+    code, out, err = run(capsys, "verify", "--suite", "formulas", "--output", "json")
+    assert code == 5
+    doc = json.loads(out)
+    assert doc["command"] == "verify"
+    assert doc["result"]["failed"] == 1
+    assert doc["result"]["passed"] == 0
+    assert doc["result"]["checks"][0]["name"] == "forced"
+    assert "error: 1 consistency checks failed" in err

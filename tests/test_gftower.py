@@ -189,3 +189,17 @@ def test_ext_level_requires_irreducible():
     f2 = prime_level(2)
     with pytest.raises(ReducibleModulus):
         ext_level(f2, (1, 0, 1))
+
+
+def test_unknown_level_name_rejected(t212):
+    with pytest.raises(DomainError):
+        t212.element(1, "bogus")
+    with pytest.raises(DomainError):
+        t212.poly([1, 1], "bogus")
+    assert t212.element(1, "mid").level is t212.mid
+    assert t212.poly([1, 1], "bottom").level is t212.bottom
+
+
+def test_multiplicative_order_rejects_zero_multiple(t212):
+    with pytest.raises(DomainError):
+        multiplicative_order(t212.top, 2, divisor_of=0)

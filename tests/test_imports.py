@@ -1,0 +1,52 @@
+"""Every import in the package source is used somewhere in its module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "galois_moebius"
+
+# __init__.py imports are the package's public re-exports, used by definition
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+def _names(expr):
+    return {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
+
+
+def _used(tree):
+    used = _names(tree)
+    for node in ast.walk(tree):
+        # names listed in __all__ are exported, which counts as a use
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+        # quoted annotations such as -> "Poly"
+        for ann in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                used |= _names(ast.parse(ann.value, mode="eval"))
+    return used
+
+
+def test_modules_found():
+    assert len(MODULES) >= 5
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _used(tree)
+    unused = [f"{path.name}:{line}: {name}" for line, name in _imported(tree) if name not in used]
+    assert not unused, "unused imports:\n" + "\n".join(unused)

@@ -1,6 +1,6 @@
 import pytest
 
-from galois_moebius.errors import NotPrime
+from galois_moebius.errors import DomainError, NotPrime
 from galois_moebius.numtheory import (
     divisors,
     euler_phi,
@@ -82,3 +82,10 @@ def test_next_prime_in_progression():
     assert is_prime(p) and p % 7 == 3 and p > 10**6
     with pytest.raises(ValueError):
         next_prime_in_progression(10, 2, 4)
+
+
+@pytest.mark.parametrize("fn", [factorize, divisors, euler_phi, moebius_mu])
+@pytest.mark.parametrize("n", [0, -4])
+def test_nonpositive_input_is_a_domain_error(fn, n):
+    with pytest.raises(DomainError):
+        fn(n)

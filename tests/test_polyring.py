@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import galois_moebius as gm
-from galois_moebius.errors import DivisionByZero, DomainError, ZeroConstantTerm
+from galois_moebius import polyring
+from galois_moebius.errors import (
+    DivisionByZero,
+    DomainError,
+    InternalInvariantError,
+    ZeroConstantTerm,
+)
 from galois_moebius.polyring import (
     Poly,
     count_irreducibles,
@@ -131,6 +137,14 @@ def test_count_irreducibles_formula():
     assert count_irreducibles(2, 5) == 6
     assert count_irreducibles(4, 3) == 20
     assert count_irreducibles(9, 3) == 240
+
+
+def test_count_irreducibles_fraction_is_internal_error(monkeypatch):
+    # with every mu(d) forced to 1, the degree-3 sum over F_2 is 8 + 2 = 10,
+    # which 3 does not divide
+    monkeypatch.setattr(polyring, "moebius_mu", lambda d: 1)
+    with pytest.raises(InternalInvariantError):
+        count_irreducibles(2, 3)
 
 
 def test_monic_irreducibles_census(f9):

@@ -62,6 +62,10 @@ class Level:
         self._add_rows = None
         self._exp = None
         self._log = None
+        # packed-product tables and the last long modulus' Barrett
+        # context, built by polyring on the first long operand
+        self._packing = None
+        self._barrett = None
 
     # --- encoding ---------------------------------------------------
 
@@ -805,6 +809,8 @@ def multiplicative_order(level: Level, x: int, divisor_of: int | None = None) ->
     if not x:
         raise DivisionByZero("zero has no multiplicative order")
     o = divisor_of if divisor_of is not None else level.size - 1
+    if not isinstance(o, int):
+        raise DomainError(f"divisor_of must be an int, got {o!r}")
     if level.pow(x, o) != 1:
         raise DomainError("claimed exponent does not annihilate x")
     for r in factorize(o):

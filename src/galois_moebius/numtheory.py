@@ -137,7 +137,7 @@ def next_prime_in_progression(floor: int, residue: int, modulus: int) -> int:
         return p
     residue %= modulus
     if math.gcd(residue, modulus) != 1:
-        raise ValueError("no primes in this progression beyond gcd")
+        raise DomainError(f"residue {residue} shares a factor with modulus {modulus}")
     p = floor + 1 + (residue - (floor + 1)) % modulus
     while not is_prime(p):
         p += modulus

@@ -12,21 +12,39 @@ then equal-degree splitting (trace maps in characteristic 2, the
 (Q**d - 1)/2 power map otherwise).  The equal-degree stage draws from a
 local random.Random seeded by the caller, so runs are reproducible and
 concurrent calls never share state.
+
+Products modulo a modulus of more than _PACK_CUTOVER coefficients (the
+powering ladder of _powmod, which serves the Frobenius rounds of _ddf and
+_irreducible and the odd-p power map of _edf, and the characteristic-2
+trace loop of _edf) run packed: each polynomial becomes one int, CPython's
+bigint multiply does the product (Kronecker substitution), and a Barrett
+remainder with a precomputed inverse of the reversed modulus reduces it.
+The level's packing tables are built on the first such product, and
+levels whose tables would exceed _TABLE_CAP entries keep schoolbook.
+Everything else stays schoolbook, on the level's own poly_mul and
+poly_rem_monic: short moduli (a census never gets near the cut-over, and
+there a packed product costs more than it saves), gcds (Euclid's
+quotients are short) and exact divisions.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
+import struct
+import sys
+from array import array
 
 from .errors import (
+    DegreeMismatch,
     DivisionByZero,
     DomainError,
     InternalInvariantError,
     LevelMismatch,
     ZeroConstantTerm,
 )
-from .numtheory import divisors, moebius_mu
+from .numtheory import divisors, moebius_mu, prime_power_split
 
 
 def _trim(c: list) -> list:
@@ -99,6 +117,248 @@ def _gcd(level, f, g):
     return _monic(level, a)
 
 
+# --- packed products modulo a long modulus --------------------------------
+
+# moduli with more coefficients than this multiply and reduce packed
+_PACK_CUTOVER = 32
+# most entries of any one per-level packing table
+_TABLE_CAP = 4096
+# levels with more codes than this pack each code in two halves
+_SPLIT_ABOVE = 256
+
+_UINT = {struct.calcsize(c): c for c in "BHIQ"}
+_PARITY_DIGIT = bytes(48 + (v & 1) for v in range(256))
+_DIGIT = b"0123456789abcdefghijklmnopqrstuvwxyz".ljust(256, b"\0")
+
+
+class _Packing:
+    """Kronecker layout of one level's element codes.
+
+    A level whose storeys over F_p have degrees d_1, d_2, ... (bottom
+    first) writes an element as a polynomial in the storey generators
+    with exponents a_i < d_i, and its code's base-p digits are those
+    coefficients.  Packed, each coefficient of a polynomial over the level
+    owns a block of r = prod(2 d_i - 1) slots, one per exponent vector with
+    a_i <= 2 d_i - 2, so a product of two elements lands unreduced in one
+    block and the bigint product of two packed polynomials is the packed
+    product.  A slot is wb bytes wide, wide enough that no slot sum
+    carries.  Unpacking takes each slot mod p and maps a block's digits to
+    a code through one table, or through two tables (low and high half of
+    the block) when one would exceed _TABLE_CAP entries.
+    """
+
+    def __init__(self, level, degs):
+        p = self.p = level.p
+        self.size = level.size
+        self.add = level.add
+        wide = [2 * d - 1 for d in degs]
+        r = self.r = math.prod(wide)
+        # slot of each base-p digit position of a code
+        self.slots = [_mixed(_digits_of(t, degs), wide) for t in range(math.prod(degs))]
+        images = []
+        for s in range(r):
+            a = _digits_of(s, wide)
+            b = [min(x, d - 1) for x, d in zip(a, degs)]
+            c = [x - y for x, y in zip(a, b)]
+            images.append(level.mul(p ** _mixed(b, degs), p ** _mixed(c, degs)))
+        # a code's own digits fill only the slots below `used`
+        self.used = max(self.slots) + 1
+        self.half = r if p**r <= _TABLE_CAP else (r + 1) // 2
+        self.tables = [_block_table(level, images[:self.half])]
+        if self.half < r:
+            self.tables.append(_block_table(level, images[self.half:]))
+        self._packers = {}
+
+    def packer(self, wb):
+        """The function packing a coefficient list with wb-byte slots.  The
+        slot bytes of a code come from one table entry per code, or, for a
+        level of more than _SPLIT_ABOVE codes, from one entry for its low
+        digits and one for its high digits: slower, but two small tables
+        instead of one large one."""
+        pack = self._packers.get(wb)
+        if pack is not None:
+            return pack
+        gap = bytes((self.r - self.used) * wb)
+        D = len(self.slots)
+        if self.size <= _SPLIT_ABOVE:
+            get = self._slot_bytes(wb, 0, D).__getitem__
+
+            def pack(f):
+                return int.from_bytes(gap.join(map(get, f)), "little")
+        else:
+            h = D // 2
+            lo = self._slot_bytes(wb, 0, h).__getitem__
+            hi = self._slot_bytes(wb, h, D).__getitem__
+            low_part, high_part = (self.p**h).__rmod__, (self.p**h).__rfloordiv__
+
+            def pack(f):
+                parts = map(bytes.__add__, map(lo, map(low_part, f)), map(hi, map(high_part, f)))
+                return int.from_bytes(gap.join(parts), "little")
+        self._packers[wb] = pack
+        return pack
+
+    def _slot_bytes(self, wb, a, b):
+        """Slot bytes of every value of the digits a..b-1 of a code, over
+        the slots from that of digit a to that of digit b (or `used`)."""
+        p, slots = self.p, self.slots
+        start = slots[a]
+        stop = slots[b] if b < len(slots) else self.used
+        out = []
+        for x in range(p ** (b - a)):
+            block = bytearray((stop - start) * wb)
+            t = a
+            while x:
+                x, dig = divmod(x, p)
+                if dig:
+                    o = (slots[t] - start) * wb
+                    block[o:o + wb] = dig.to_bytes(wb, "little")
+                t += 1
+            out.append(bytes(block))
+        return out
+
+    def unpack(self, P, count, wb):
+        """The first count coefficients of the packed polynomial P."""
+        p, r = self.p, self.r
+        raw = P.to_bytes(count * r * wb, "little")
+        if p == 2:
+            digits = raw[::wb].translate(_PARITY_DIGIT)
+        else:
+            digits = bytes(map(p.__rmod__, memoryview(raw).cast(_UINT[wb]))).translate(_DIGIT)
+        h, blocks = self.half, range(0, count * r, r)
+        if h == r:
+            [T] = self.tables
+            return [T[int(digits[i:i + r], p)] for i in blocks]
+        lo, hi = self.tables
+        if p == 2:
+            return [lo[int(digits[i:i + h], 2)] ^ hi[int(digits[i + h:i + r], 2)] for i in blocks]
+        add = self.add
+        return [add(lo[int(digits[i:i + h], p)], hi[int(digits[i + h:i + r], p)]) for i in blocks]
+
+
+def _digits_of(x, radix):
+    out = []
+    for b in radix:
+        x, d = divmod(x, b)
+        out.append(d)
+    return out
+
+
+def _mixed(digits, radix):
+    x = 0
+    for d, b in zip(reversed(digits), reversed(radix)):
+        x = x * b + d
+    return x
+
+
+def _block_table(level, images):
+    """Code of every digit string over the given slot images, indexed by
+    the string read as a base-p numeral, first slot most significant."""
+    add, mul = level.add, level.mul
+    table = [0]
+    for img in images:
+        mults = [mul(d, img) for d in range(level.p)]
+        table = [add(t, v) for t in table for v in mults]
+    return array("H", table)
+
+
+def _packing(level):
+    """The level's _Packing, built on first use; None when the level keeps
+    schoolbook: a half-block table would exceed _TABLE_CAP entries (so
+    would the level's own size), or p is odd and above base 36 or the host
+    big-endian."""
+    pk = level._packing
+    if pk is None:
+        degs = []
+        lv = level
+        while lv.base is not None:
+            degs.append(lv.deg)
+            lv = lv.base
+        degs.reverse()
+        p = level.p
+        r = math.prod(2 * d - 1 for d in degs)
+        fits = p ** ((r + 1) // 2) <= _TABLE_CAP
+        if p > 2:
+            fits = fits and p <= 36 and sys.byteorder == "little"
+        pk = level._packing = _Packing(level, degs) if fits else False
+    return pk or None
+
+
+class _Barrett:
+    """Products modulo one monic m of degree n on the packed layout.
+
+    The remainder is Barrett's: with mu = rev(m)**-1 mod x**n, computed
+    once by Newton iteration, the quotient of a product f of length n + k
+    is rev(rev(f) * mu mod x**k), and f mod m = (f + q * (-m)) mod x**n,
+    all on packed ints.
+    """
+
+    def __init__(self, level, pk, m, wb):
+        self.key = tuple(m)
+        self.pk, self.wb = pk, wb
+        self.n = n = len(m) - 1
+        self._pack = pk.packer(wb)
+        self.low_bits = n * pk.r * wb * 8
+        self.low = (1 << self.low_bits) - 1
+        neg = level.neg
+        self.neg_m = self._pack([neg(c) for c in m[:n]])
+        self.mu = self._pack(self._series_inverse(level, m[::-1], n))
+
+    def _low(self, P, k):
+        """The first k coefficients of the packed P."""
+        return self.pk.unpack(P & ((1 << k * self.pk.r * self.wb * 8) - 1), k, self.wb)
+
+    def _series_inverse(self, level, a, n):
+        """b with a * b = 1 mod x**n, for a[0] = 1: b <- b * (2 - a * b)."""
+        neg = level.neg
+        b, prec = [1], 1
+        while prec < n:
+            prec = min(2 * prec, n)
+            e = self._low(self._pack(a[:prec]) * self._pack(b), prec)
+            e = [1] + [neg(c) for c in e[1:]]
+            b = self._low(self._pack(b) * self._pack(e), prec)
+        return b
+
+    def mulmod(self, a, b):
+        """a * b mod m for a, b reduced (at most n coefficients)."""
+        if not a or not b:
+            return []
+        A = self._pack(a)
+        return self.reduce(A * A if a is b else A * self._pack(b), len(a) + len(b) - 1)
+
+    def reduce(self, P, lp):
+        """The remainder mod m of the packed P of lp <= 2n coefficients,
+        none of whose slot sums exceeds n D (p - 1)**2."""
+        pk, wb, n = self.pk, self.wb, self.n
+        if lp <= n:
+            return _trim(pk.unpack(P, lp, wb))
+        k = lp - n
+        top = pk.unpack(P >> self.low_bits, k, wb)
+        top.reverse()
+        q = self._low(self._pack(top) * self.mu, k)
+        q.reverse()
+        R = (P & self.low) + ((self._pack(q) * self.neg_m) & self.low)
+        return _trim(pk.unpack(R, n, wb))
+
+
+def _barrett(level, m):
+    """The _Barrett context of the monic m, or None when the level keeps
+    schoolbook.  The level keeps the context of its last modulus, which
+    serves every product of a powering ladder or an EDF attempt."""
+    ctx = level._barrett
+    if ctx is not None and ctx.key == tuple(m):
+        return ctx
+    pk = _packing(level)
+    if pk is None:
+        return None
+    # the largest slot sum is that of f + q * (-m): 2 n D (p - 1)**2
+    bound = 2 * (len(m) - 1) * len(pk.slots) * (level.p - 1) ** 2
+    wb = next((w for w in sorted(_UINT) if 256**w > bound), None)
+    if wb is None:
+        return None
+    ctx = level._barrett = _Barrett(level, pk, m, wb)
+    return ctx
+
+
 def _powmod(level, f, e, m):
     m = _monic(level, _trim(list(m)))
     if len(m) < 2:
@@ -106,13 +366,15 @@ def _powmod(level, f, e, m):
     if e < 0:
         raise DomainError("powmod exponent must be nonnegative")
     base = level.poly_rem_monic(list(f), m)
+    ctx = _barrett(level, m) if len(m) > _PACK_CUTOVER else None
+    mul, rem = level.poly_mul, level.poly_rem_monic
     result = [1]
     while e:
         if e & 1:
-            result = level.poly_rem_monic(level.poly_mul(result, base), m)
+            result = ctx.mulmod(result, base) if ctx else rem(mul(result, base), m)
         e >>= 1
         if e:
-            base = level.poly_rem_monic(level.poly_mul(base, base), m)
+            base = ctx.mulmod(base, base) if ctx else rem(mul(base, base), m)
     return result
 
 
@@ -224,27 +486,41 @@ def _ddf(level, f, max_degree=None):
     return out
 
 
+_EDF_MAX_DRAWS = 200
+
+
 def _edf(level, f, d, rng):
-    """Equal-degree split: f monic squarefree, every factor of degree d."""
+    """Equal-degree split: f monic squarefree, every factor of degree d.
+
+    A draw splits a valid g with probability at least about 1/2, so
+    _EDF_MAX_DRAWS draws in a row that do not split, like a degree that d
+    does not divide, mean f was not of equal degree d.
+    """
     Q = level.size
+    mul, rem = level.poly_mul, level.poly_rem_monic
     work = [list(f)]
     out = []
     while work:
         g = work.pop()
         dg = len(g) - 1
+        if dg % d:
+            raise InternalInvariantError(
+                f"EDF input of degree {dg} is not a product of degree-{d} factors"
+            )
         if dg == d:
             out.append(g)
             continue
-        while True:
+        ctx = _barrett(level, g) if level.p == 2 and len(g) > _PACK_CUTOVER else None
+        for _ in range(_EDF_MAX_DRAWS):
             r = _trim([rng.randrange(Q) for _ in range(dg)])
             if len(r) < 2:
                 continue
             if level.p == 2:
                 m = (Q.bit_length() - 1) * d
-                s = level.poly_rem_monic(list(r), g)
+                s = rem(list(r), g)
                 t = list(s)
                 for _ in range(m - 1):
-                    t = level.poly_rem_monic(level.poly_mul(t, t), g)
+                    t = ctx.mulmod(t, t) if ctx else rem(mul(t, t), g)
                     s = _add(level, s, t)
             else:
                 s = _sub(level, _powmod(level, r, (Q**d - 1) // 2, g), [1])
@@ -253,6 +529,11 @@ def _edf(level, f, d, rng):
                 work.append(split)
                 work.append(_exact_div(level, g, split))
                 break
+        else:
+            raise InternalInvariantError(
+                f"EDF found no split of a degree-{dg} part in {_EDF_MAX_DRAWS} draws; "
+                f"its factors are not all of degree {d}"
+            )
     return out
 
 
@@ -472,7 +753,9 @@ def squarefree_part_is_all(f: Poly) -> bool:
 
 def count_irreducibles(field_size: int, k: int) -> int:
     """Number of monic irreducible polynomials of degree k over a field of
-    the given size, by the divisor sum with the Moebius function."""
+    the given size, by the divisor sum with the Moebius function.  The
+    size must be a prime power (NotPrime otherwise)."""
+    prime_power_split(field_size)
     if k < 1:
         raise DomainError("degree must be positive")
     total = sum(moebius_mu(d) * field_size ** (k // d) for d in divisors(k))
@@ -497,6 +780,8 @@ def monic_irreducibles(level, k: int) -> tuple[tuple[int, ...], ...]:
     """Cached tuple of coefficient vectors (constant first, with the
     leading 1) of all monic irreducibles of degree k, in lexicographic
     coefficient order."""
+    if k < 1:
+        raise DegreeMismatch("irreducible degree must be >= 1")
     cache = level._irr_cache
     got = cache.get(k)
     if got is None:

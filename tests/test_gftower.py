@@ -203,3 +203,9 @@ def test_unknown_level_name_rejected(t212):
 def test_multiplicative_order_rejects_zero_multiple(t212):
     with pytest.raises(DomainError):
         multiplicative_order(t212.top, 2, divisor_of=0)
+
+
+@pytest.mark.parametrize("multiple", [3.0, "3"])
+def test_multiplicative_order_rejects_non_int_multiple(t212, multiple):
+    with pytest.raises(DomainError):
+        multiplicative_order(t212.top, 2, divisor_of=multiple)

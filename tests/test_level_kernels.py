@@ -1,15 +1,23 @@
-"""The per-level polynomial kernels against a schoolbook oracle.
+"""The polynomial kernels against a schoolbook oracle.
 
 Each level installs its own poly_mul and poly_rem_monic (row tables in
 characteristic 2, row tables plus addition rows for odd p, plain scalar
-calls above the row cap).  The oracle below uses only the level's scalar
-add, mul and sub, so it is independent of which kernel a level carries.
+calls above the row cap).  Products modulo a long modulus go through
+polyring's packed kernel instead (Kronecker multiply, Barrett remainder).
+The oracle below uses only the level's scalar add, mul and sub, so it is
+independent of which kernel a level carries.
 """
+
+import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import galois_moebius as gm
+from galois_moebius import polyring
+from galois_moebius.polyring import Poly, factor, monic_irreducibles, powmod
 
 LEVELS = {
     "F4": (lambda: gm.build_tower(2, 1, 2).top, "char2-rows"),
@@ -80,3 +88,132 @@ def test_poly_rem_monic_matches_schoolbook(level, data):
     pad = data.draw(st.integers(0, 3), label="zero padding")
     f = [*f, *([0] * pad)]
     assert level.poly_rem_monic(list(f), m) == school_rem_monic(level, f, m)
+
+
+# --- the packed kernel --------------------------------------------------
+
+# one storey over F_p (F_4, F_8, F_25, F_512, F_729) and two (F_16 =
+# (2,2,2), F_81 = (3,2,2)); the blocks of F_512, F_729 and F_81 need the
+# two-table lookup, and F_512 and F_729 pack each code in two halves
+PACKED_LEVELS = {
+    "F4": lambda: gm.build_tower(2, 1, 2).top,
+    "F8": lambda: gm.build_tower(2, 1, 3).top,
+    "F25": lambda: gm.build_tower(5, 1, 2).top,
+    "F512": lambda: gm.build_tower(2, 1, 9).top,
+    "F729": lambda: gm.build_tower(3, 1, 6).top,
+    "F16-nested": lambda: gm.build_tower(2, 2, 2).top,
+    "F81-nested": lambda: gm.build_tower(3, 2, 2).top,
+}
+
+
+@pytest.fixture(scope="module", params=sorted(PACKED_LEVELS))
+def packed_level(request):
+    lvl = PACKED_LEVELS[request.param]()
+    assert polyring._packing(lvl) is not None
+    return lvl
+
+
+def _context(level, data, max_degree=300):
+    n = data.draw(st.integers(1, max_degree), label="modulus degree")
+    m = [*data.draw(_coeffs(level, n, n), label="modulus body"), 1]
+    ctx = polyring._barrett(level, m)
+    assert ctx is not None
+    return ctx, m
+
+
+def _exact(level, data, most, label):
+    """At most `most` coefficients with their length drawn uniformly, then
+    zero padding within the same length."""
+    k = data.draw(st.integers(0, most), label=f"{label} length")
+    pad = data.draw(st.integers(0, min(3, k)), label=f"{label} zero padding")
+    return [*data.draw(_coeffs(level, k - pad, k - pad), label=label), *([0] * pad)]
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_packed_mulmod_matches_schoolbook(packed_level, data):
+    level = packed_level
+    ctx, m = _context(level, data)
+    n = len(m) - 1
+    # operands of at most n coefficients, zero padding included, so both
+    # the plain packed product (short operands) and the remainder run
+    f = _exact(level, data, n, "f")
+    g = f if data.draw(st.booleans(), label="square") else _exact(level, data, n, "g")
+    want = school_rem_monic(level, school_mul(level, f, g), m) if f and g else []
+    assert ctx.mulmod(f, g) == want
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_barrett_remainder_matches_schoolbook(packed_level, data):
+    level = packed_level
+    ctx, m = _context(level, data)
+    n = len(m) - 1
+    f = _exact(level, data, 2 * n, "dividend")
+    assert ctx.reduce(ctx._pack(f), len(f)) == school_rem_monic(level, f, m)
+
+
+def _squarefree_product(level, rng):
+    """Distinct monic irreducibles of small degree multiplied up to a
+    degree past the packed cut-over."""
+    pool = [cs for k in (1, 2, 3) if level.size**k <= 1024 for cs in monic_irreducibles(level, k)]
+    rng.shuffle(pool)
+    f = [1]
+    for cs in pool:
+        f = level.poly_mul(f, list(cs))
+        if len(f) > polyring._PACK_CUTOVER + 1:
+            return f
+    raise AssertionError("pool too small")
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_packed_route_matches_schoolbook_route(packed_level, seed):
+    level = packed_level
+    rng = random.Random(seed)
+    f = Poly(level, _squarefree_product(level, rng))
+    h = Poly(level, [rng.randrange(level.size) for _ in range(f.degree)])
+    e = rng.randrange(2, 10**6)
+    packed = (powmod(h, e, f), factor(f, seed))
+    assert polyring._barrett(level, list(f.coeffs)) is not None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyring, "_PACK_CUTOVER", 10**9)
+        school = (powmod(h, e, f), factor(f, seed))
+    assert packed == school
+    lc, parts = packed[1]
+    assert lc == 1 and all(mult == 1 for _, mult in parts)
+    prod = Poly.one(level)
+    for part, _ in parts:
+        prod = prod * part
+    assert prod == f
+
+
+def test_packing_tables_are_lazy():
+    # a fresh interpreter: levels are interned, so this process holds the
+    # tables that earlier tests built
+    code = (
+        "import galois_moebius as gm\n"
+        "from galois_moebius import gftower\n"
+        "t = gm.build_tower(2, 1, 2)\n"
+        "gm.census(gm.Semilinear(gm.Mat2(t, 0, 1, 1, 0), 1), [3, 4])\n"
+        "levels = [*gftower._PRIME_LEVELS.values(), *gftower._EXT_LEVELS.values()]\n"
+        "built = [lv for lv in levels if lv._packing is not None or lv._barrett is not None]\n"
+        "print(len(levels), len(built))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    n_levels, n_packed = map(int, out.stdout.split())
+    assert n_levels >= 3 and n_packed == 0
+
+
+def test_level_over_table_cap_factors():
+    level = gm.build_tower(2, 2, 6).top  # blocks of 3 * 11 slots: 2**17 > cap
+    assert polyring._packing(level) is None
+    rng = random.Random(7)
+    roots = rng.sample(range(level.size), polyring._PACK_CUTOVER + 2)
+    f = [1]
+    for a in roots:
+        f = level.poly_mul(f, [a, 1])  # x - a = x + a in characteristic 2
+    lc, parts = factor(Poly(level, f))
+    assert lc == 1
+    assert parts == [(Poly(level, [a, 1]), 1) for a in sorted(roots, key=level.lex_key)]

@@ -80,7 +80,7 @@ def test_next_prime_in_progression():
     assert next_prime_in_progression(100, 2, 3) == 101
     p = next_prime_in_progression(10**6, 3, 7)
     assert is_prime(p) and p % 7 == 3 and p > 10**6
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         next_prime_in_progression(10, 2, 4)
 
 

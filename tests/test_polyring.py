@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 import galois_moebius as gm
 from galois_moebius import polyring
 from galois_moebius.errors import (
+    DegreeMismatch,
     DivisionByZero,
     DomainError,
     InternalInvariantError,
+    NotPrime,
     ZeroConstantTerm,
 )
 from galois_moebius.polyring import (
@@ -145,6 +147,30 @@ def test_count_irreducibles_fraction_is_internal_error(monkeypatch):
     monkeypatch.setattr(polyring, "moebius_mu", lambda d: 1)
     with pytest.raises(InternalInvariantError):
         count_irreducibles(2, 3)
+
+
+@pytest.mark.parametrize("size", [1, 6, 12, 0])
+def test_count_irreducibles_needs_a_prime_power(size):
+    with pytest.raises(NotPrime):
+        count_irreducibles(size, 3)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_monic_irreducibles_rejects_nonpositive_degree(t212, k):
+    with pytest.raises(DegreeMismatch):
+        monic_irreducibles(t212.top, k)
+    assert k not in t212.top._irr_cache
+
+
+def test_edf_rejects_mixed_degree_input(t212):
+    # x * (x**3 + x + 1) over F_4: one linear factor and one cubic
+    level = t212.top
+    f = [0, 1, 1, 0, 1]
+    with pytest.raises(InternalInvariantError, match="not all of degree 1"):
+        polyring._edf(level, f, 1, random.Random(0))
+    # a degree that d does not divide is refused before any draw
+    with pytest.raises(InternalInvariantError, match="not a product"):
+        polyring._edf(level, f, 3, random.Random(0))
 
 
 def test_monic_irreducibles_census(f9):

@@ -121,10 +121,8 @@ def _gcd(level, f, g):
 
 # moduli with more coefficients than this multiply and reduce packed
 _PACK_CUTOVER = 32
-# most entries of any one per-level packing table
+# most entries of a level's packing table; larger levels keep schoolbook
 _TABLE_CAP = 4096
-# levels with more codes than this pack each code in two halves
-_SPLIT_ABOVE = 256
 
 _UINT = {struct.calcsize(c): c for c in "BHIQ"}
 _PARITY_DIGIT = bytes(48 + (v & 1) for v in range(256))
@@ -143,14 +141,11 @@ class _Packing:
     block and the bigint product of two packed polynomials is the packed
     product.  A slot is wb bytes wide, wide enough that no slot sum
     carries.  Unpacking takes each slot mod p and maps a block's digits to
-    a code through one table, or through two tables (low and high half of
-    the block) when one would exceed _TABLE_CAP entries.
+    a code through one table of p**r entries.
     """
 
     def __init__(self, level, degs):
         p = self.p = level.p
-        self.size = level.size
-        self.add = level.add
         wide = [2 * d - 1 for d in degs]
         r = self.r = math.prod(wide)
         # slot of each base-p digit position of a code
@@ -163,54 +158,33 @@ class _Packing:
             images.append(level.mul(p ** _mixed(b, degs), p ** _mixed(c, degs)))
         # a code's own digits fill only the slots below `used`
         self.used = max(self.slots) + 1
-        self.half = r if p**r <= _TABLE_CAP else (r + 1) // 2
-        self.tables = [_block_table(level, images[:self.half])]
-        if self.half < r:
-            self.tables.append(_block_table(level, images[self.half:]))
+        self.table = _block_table(level, images)
         self._packers = {}
 
     def packer(self, wb):
-        """The function packing a coefficient list with wb-byte slots.  The
-        slot bytes of a code come from one table entry per code, or, for a
-        level of more than _SPLIT_ABOVE codes, from one entry for its low
-        digits and one for its high digits: slower, but two small tables
-        instead of one large one."""
+        """The function packing a coefficient list with wb-byte slots."""
         pack = self._packers.get(wb)
-        if pack is not None:
-            return pack
-        gap = bytes((self.r - self.used) * wb)
-        D = len(self.slots)
-        if self.size <= _SPLIT_ABOVE:
-            get = self._slot_bytes(wb, 0, D).__getitem__
+        if pack is None:
+            gap = bytes((self.r - self.used) * wb)
+            get = self._slot_bytes(wb).__getitem__
 
             def pack(f):
                 return int.from_bytes(gap.join(map(get, f)), "little")
-        else:
-            h = D // 2
-            lo = self._slot_bytes(wb, 0, h).__getitem__
-            hi = self._slot_bytes(wb, h, D).__getitem__
-            low_part, high_part = (self.p**h).__rmod__, (self.p**h).__rfloordiv__
 
-            def pack(f):
-                parts = map(bytes.__add__, map(lo, map(low_part, f)), map(hi, map(high_part, f)))
-                return int.from_bytes(gap.join(parts), "little")
-        self._packers[wb] = pack
+            self._packers[wb] = pack
         return pack
 
-    def _slot_bytes(self, wb, a, b):
-        """Slot bytes of every value of the digits a..b-1 of a code, over
-        the slots from that of digit a to that of digit b (or `used`)."""
+    def _slot_bytes(self, wb):
+        """The bytes of the slots below `used` of every code."""
         p, slots = self.p, self.slots
-        start = slots[a]
-        stop = slots[b] if b < len(slots) else self.used
         out = []
-        for x in range(p ** (b - a)):
-            block = bytearray((stop - start) * wb)
-            t = a
+        for x in range(p ** len(slots)):
+            block = bytearray(self.used * wb)
+            t = 0
             while x:
                 x, dig = divmod(x, p)
                 if dig:
-                    o = (slots[t] - start) * wb
+                    o = slots[t] * wb
                     block[o:o + wb] = dig.to_bytes(wb, "little")
                 t += 1
             out.append(bytes(block))
@@ -224,15 +198,8 @@ class _Packing:
             digits = raw[::wb].translate(_PARITY_DIGIT)
         else:
             digits = bytes(map(p.__rmod__, memoryview(raw).cast(_UINT[wb]))).translate(_DIGIT)
-        h, blocks = self.half, range(0, count * r, r)
-        if h == r:
-            [T] = self.tables
-            return [T[int(digits[i:i + r], p)] for i in blocks]
-        lo, hi = self.tables
-        if p == 2:
-            return [lo[int(digits[i:i + h], 2)] ^ hi[int(digits[i + h:i + r], 2)] for i in blocks]
-        add = self.add
-        return [add(lo[int(digits[i:i + h], p)], hi[int(digits[i + h:i + r], p)]) for i in blocks]
+        T = self.table
+        return [T[int(digits[i:i + r], p)] for i in range(0, count * r, r)]
 
 
 def _digits_of(x, radix):
@@ -263,9 +230,8 @@ def _block_table(level, images):
 
 def _packing(level):
     """The level's _Packing, built on first use; None when the level keeps
-    schoolbook: a half-block table would exceed _TABLE_CAP entries (so
-    would the level's own size), or p is odd and above base 36 or the host
-    big-endian."""
+    schoolbook: its table would exceed _TABLE_CAP entries, or p is odd and
+    above base 36 or the host big-endian."""
     pk = level._packing
     if pk is None:
         degs = []
@@ -275,8 +241,7 @@ def _packing(level):
             lv = lv.base
         degs.reverse()
         p = level.p
-        r = math.prod(2 * d - 1 for d in degs)
-        fits = p ** ((r + 1) // 2) <= _TABLE_CAP
+        fits = p ** math.prod(2 * d - 1 for d in degs) <= _TABLE_CAP
         if p > 2:
             fits = fits and p <= 36 and sys.byteorder == "little"
         pk = level._packing = _Packing(level, degs) if fits else False

@@ -92,17 +92,15 @@ def test_poly_rem_monic_matches_schoolbook(level, data):
 
 # --- the packed kernel --------------------------------------------------
 
-# one storey over F_p (F_4, F_8, F_25, F_512, F_729) and two (F_16 =
-# (2,2,2), F_81 = (3,2,2)); the blocks of F_512, F_729 and F_81 need the
-# two-table lookup, and F_512 and F_729 pack each code in two halves
+# one storey over F_p (F_4, F_8, F_64, F_25, F_81) and two (F_16 =
+# (2,2,2)); F_64 and F_81 have the largest tables under the cap
 PACKED_LEVELS = {
     "F4": lambda: gm.build_tower(2, 1, 2).top,
     "F8": lambda: gm.build_tower(2, 1, 3).top,
+    "F64": lambda: gm.build_tower(2, 1, 6).top,
     "F25": lambda: gm.build_tower(5, 1, 2).top,
-    "F512": lambda: gm.build_tower(2, 1, 9).top,
-    "F729": lambda: gm.build_tower(3, 1, 6).top,
+    "F81": lambda: gm.build_tower(3, 1, 4).top,
     "F16-nested": lambda: gm.build_tower(2, 2, 2).top,
-    "F81-nested": lambda: gm.build_tower(3, 2, 2).top,
 }
 
 
@@ -206,14 +204,17 @@ def test_packing_tables_are_lazy():
     assert n_levels >= 3 and n_packed == 0
 
 
-def test_level_over_table_cap_factors():
-    level = gm.build_tower(2, 2, 6).top  # blocks of 3 * 11 slots: 2**17 > cap
+# blocks of 23, 3 * 11 and 3 * 3 slots: 2**23, 2**33 and 3**9 > cap
+@pytest.mark.parametrize("tower", [(2, 1, 12), (2, 2, 6), (3, 2, 2)])
+def test_level_over_table_cap_factors(tower):
+    level = gm.build_tower(*tower).top
     assert polyring._packing(level) is None
     rng = random.Random(7)
     roots = rng.sample(range(level.size), polyring._PACK_CUTOVER + 2)
-    f = [1]
-    for a in roots:
-        f = level.poly_mul(f, [a, 1])  # x - a = x + a in characteristic 2
-    lc, parts = factor(Poly(level, f))
+    linear = [Poly(level, [level.neg(a), 1]) for a in roots]
+    f = Poly.one(level)
+    for g in linear:
+        f = f * g
+    lc, parts = factor(f)
     assert lc == 1
-    assert parts == [(Poly(level, [a, 1]), 1) for a in sorted(roots, key=level.lex_key)]
+    assert parts == [(g, 1) for g in sorted(linear)]

@@ -18,6 +18,10 @@ per-row multiplication and addition tables used by the polynomial inner
 loops.  Larger extension levels fall back to generic arithmetic delegated
 to the level below.
 
+The tower Frobenius x -> x**(q**i) is the top level's power map, so on a
+top with exp/log tables it is one table lookup; it needs no tables of its
+own.
+
 Moduli default to the lexicographically smallest monic irreducible of the
 right degree, where coefficient vectors are compared constant term first
 and elements are compared by their flattened base-p digit vectors.  Towers
@@ -50,6 +54,8 @@ class Level:
         self.p = 0
         self.size = 0
         self.deg = 1
+        # degree over the prime field, the number of base-p digits of a code
+        self.flat_deg = 1
         self.base = None
         self.modulus = None
         # set by FieldTower on its own levels
@@ -75,8 +81,16 @@ class Level:
     def encode(self, vec) -> int:
         raise NotImplementedError
 
-    def lex_key(self, a: int) -> tuple[int, ...]:
-        raise NotImplementedError
+    def lex_key(self, a: int) -> int:
+        """Sort key of the code a: its flat_deg base-p digits read as one
+        numeral, constant digit first, so keys compare like the flattened
+        coordinate vectors."""
+        p = self.p
+        key = 0
+        for _ in range(self.flat_deg):
+            a, d = divmod(a, p)
+            key = key * p + d
+        return key
 
     def elements_lex(self) -> tuple[int, ...]:
         if self._elements_lex is None:
@@ -416,9 +430,6 @@ class PrimeLevel(Level):
         vec = list(vec)
         return vec[0] if vec else 0
 
-    def lex_key(self, a):
-        return (a,)
-
 
 class ExtLevel(Level):
     def __init__(self, base: Level, modulus):
@@ -432,6 +443,7 @@ class ExtLevel(Level):
         self.base = base
         self.modulus = modulus
         self.deg = len(modulus) - 1
+        self.flat_deg = base.flat_deg * self.deg
         self.size = base.size**self.deg
         self._build_exp_log()
         self._install_scalar_ops()
@@ -452,12 +464,6 @@ class ExtLevel(Level):
         for c in vec:
             out += c * mult
             mult *= B
-        return out
-
-    def lex_key(self, a):
-        out = ()
-        for c in self.decode(a):
-            out += self.base.lex_key(c)
         return out
 
     def _mul_generic(self, a, b):
@@ -497,8 +503,8 @@ def ext_level(base: Level, modulus) -> ExtLevel:
 
 
 def quadratic_extension(level: Level) -> ExtLevel:
-    """Degree 2 extension of an arbitrary level, cached on the level.
-    Used to split irreducible quadratics (eigenvalue computations)."""
+    """Degree 2 extension of an arbitrary level, cached on the level: the
+    splitting field of every irreducible quadratic over it."""
     ext = getattr(level, "_quad_ext", None)
     if ext is None:
         ext = ext_level(level, first_irreducible(level, 2))
@@ -647,7 +653,8 @@ class TowerEmbedding:
 
 
 class FieldTower:
-    """F_p <= F_q <= F_(q**n) with explicit moduli and Frobenius tables."""
+    """F_p <= F_q <= F_(q**n) with explicit moduli; the Frobenius is the
+    top level's power map."""
 
     def __init__(self, p, e, n, g, h):
         self.p, self.e, self.n = p, e, n
@@ -660,7 +667,6 @@ class FieldTower:
         self.top = ext_level(self.mid, self.h)
         if self.top.tower is None:
             self.top.tower = self
-            self._build_frobenius()
             self.top.frob = self._frob_code
             self.top.gal_degree = n
         if self.mid.frob is None:
@@ -671,23 +677,11 @@ class FieldTower:
             self.bottom.gal_degree = 1
         self._embeddings: dict[int, TowerEmbedding] = {}
 
-    def _build_frobenius(self):
-        n, q = self.n, self.q
-        top = self.top
-        basis = [q**j for j in range(n)]
-        table = [basis]
-        row1 = [top.pow(v, q) for v in basis]
-        if n > 1:
-            table.append(row1)
-        for _ in range(2, n):
-            table.append([_q_linear(top, q, row1, x) for x in table[-1]])
-        self._frob_table = table
-
     def _frob_code(self, a: int, i: int) -> int:
         i %= self.n
         if i == 0 or a < self.q:
             return a
-        return _q_linear(self.top, self.q, self._frob_table[i], a)
+        return self.top.pow(a, self.q**i)
 
     def frobenius(self, a, i: int = 1):
         """i-th Frobenius power x -> x**(q**i) on the top level."""

@@ -233,7 +233,7 @@ def enumerate_invariants(
                     cand = Poly(level, fac)
                     if is_invariant(g, cand):
                         found[key] = cand
-    return tuple(sorted(found.values()))
+    return tuple(sorted(found.values(), key=Poly.lex_key))
 
 
 # --- census ----------------------------------------------------------

@@ -31,14 +31,8 @@ from .errors import (
     SingularMatrix,
     ZeroDenominator,
 )
-from .gftower import (
-    FieldElement,
-    FieldTower,
-    TowerEmbedding,
-    multiplicative_order,
-    quadratic_extension,
-)
-from .numtheory import next_prime_in_progression
+from .gftower import FieldElement, FieldTower, TowerEmbedding
+from .numtheory import factorize, next_prime_in_progression
 from .polyring import Poly, frobenius_poly
 
 
@@ -302,30 +296,29 @@ def twisted_product(mat: Mat2, count: int, step: int = 1) -> Mat2:
 
 
 def proj_order(mat: Mat2) -> int:
-    """Order of the matrix class in the projective group.
+    """Order of the matrix class in the projective group PGL(2, Q).
 
-    Splits on the eigenvalue structure: distinct eigenvalues give the order
-    of their ratio, a repeated eigenvalue on a non-scalar matrix gives p,
-    and an irreducible characteristic polynomial is handled in a quadratic
-    extension where the ratio becomes lambda**(Q-1) of order dividing Q+1."""
+    By Dickson's classification a non-scalar class is unipotent, of order
+    p, or semisimple with eigenvalues in F_Q, of order dividing Q - 1, or
+    conjugate in F_(Q**2), of order dividing Q + 1.  Every k whose power
+    of the matrix is scalar is a multiple of the order, so the first such
+    k among p, Q - 1, Q + 1 is one, and prime factors come off it while
+    the power stays scalar."""
     if mat.is_scalar():
         return 1
-    top = mat.tower.top
-    Q = top.size
-    charpoly = [mat.det(), top.neg(mat.trace()), 1]
-    rts = polyring._roots(top, charpoly)
-    if len(rts) == 2:
-        ratio = top.mul(rts[0], top.inv(rts[1]))
-        return multiplicative_order(top, ratio, divisor_of=Q - 1)
-    if len(rts) == 1:
-        return mat.tower.p
-    ext = quadratic_extension(top)
-    rts = polyring._roots(ext, charpoly)
-    if not rts:
-        raise InternalInvariantError("quadratic misses its roots")
-    lam = rts[0]
-    ratio = ext.pow(lam, Q - 1)
-    return multiplicative_order(ext, ratio, divisor_of=Q + 1)
+    g = Semilinear(mat)
+
+    def scalar_at(k):
+        return (g**k).mat.is_scalar()
+
+    Q = mat.tower.top.size
+    order = next((k for k in (mat.tower.p, Q - 1, Q + 1) if scalar_at(k)), None)
+    if order is None:
+        raise InternalInvariantError("no power of p, Q - 1, Q + 1 is scalar")
+    for r in factorize(order):
+        while order % r == 0 and scalar_at(order // r):
+            order //= r
+    return order
 
 
 def proj_order_bruteforce(mat: Mat2) -> int:

@@ -13,12 +13,13 @@ then equal-degree splitting (trace maps in characteristic 2, the
 local random.Random seeded by the caller, so runs are reproducible and
 concurrent calls never share state.
 
-Products modulo a modulus of more than _PACK_CUTOVER coefficients (the
-powering ladder of _powmod, which serves the Frobenius rounds of _ddf and
-_irreducible and the odd-p power map of _edf, and the characteristic-2
-trace loop of _edf) run packed: each polynomial becomes one int, CPython's
-bigint multiply does the product (Kronecker substitution), and a Barrett
-remainder with a precomputed inverse of the reversed modulus reduces it.
+Products modulo a modulus of more than _PACK_CUTOVER coefficients run
+packed; _mulmod makes that choice for the powering ladder of _powmod
+(the Frobenius rounds of _ddf, _irreducible and _roots, and the odd-p
+power map of _edf) and for the characteristic-2 trace loop of _edf.
+Packed, each polynomial becomes one int, CPython's bigint multiply does
+the product (Kronecker substitution), and a Barrett remainder with a
+precomputed inverse of the reversed modulus reduces it.
 The level's packing tables are built on the first such product, and
 levels whose tables would exceed _TABLE_CAP entries keep schoolbook.
 Everything else stays schoolbook, on the level's own poly_mul and
@@ -324,6 +325,17 @@ def _barrett(level, m):
     return ctx
 
 
+def _mulmod(level, m):
+    """The product of two polynomials reduced modulo the monic m: packed
+    when m has more than _PACK_CUTOVER coefficients and the level packs,
+    schoolbook otherwise."""
+    ctx = _barrett(level, m) if len(m) > _PACK_CUTOVER else None
+    if ctx is not None:
+        return ctx.mulmod
+    mul, rem = level.poly_mul, level.poly_rem_monic
+    return lambda a, b: rem(mul(a, b), m)
+
+
 def _powmod(level, f, e, m):
     m = _monic(level, _trim(list(m)))
     if len(m) < 2:
@@ -331,15 +343,14 @@ def _powmod(level, f, e, m):
     if e < 0:
         raise DomainError("powmod exponent must be nonnegative")
     base = level.poly_rem_monic(list(f), m)
-    ctx = _barrett(level, m) if len(m) > _PACK_CUTOVER else None
-    mul, rem = level.poly_mul, level.poly_rem_monic
+    mulmod = _mulmod(level, m)
     result = [1]
     while e:
         if e & 1:
-            result = ctx.mulmod(result, base) if ctx else rem(mul(result, base), m)
+            result = mulmod(result, base)
         e >>= 1
         if e:
-            base = ctx.mulmod(base, base) if ctx else rem(mul(base, base), m)
+            base = mulmod(base, base)
     return result
 
 
@@ -462,7 +473,6 @@ def _edf(level, f, d, rng):
     does not divide, mean f was not of equal degree d.
     """
     Q = level.size
-    mul, rem = level.poly_mul, level.poly_rem_monic
     work = [list(f)]
     out = []
     while work:
@@ -475,17 +485,18 @@ def _edf(level, f, d, rng):
         if dg == d:
             out.append(g)
             continue
-        ctx = _barrett(level, g) if level.p == 2 and len(g) > _PACK_CUTOVER else None
+        if level.p == 2:
+            mulmod = _mulmod(level, g)
         for _ in range(_EDF_MAX_DRAWS):
             r = _trim([rng.randrange(Q) for _ in range(dg)])
             if len(r) < 2:
                 continue
             if level.p == 2:
                 m = (Q.bit_length() - 1) * d
-                s = rem(list(r), g)
+                s = level.poly_rem_monic(list(r), g)
                 t = list(s)
                 for _ in range(m - 1):
-                    t = ctx.mulmod(t, t) if ctx else rem(mul(t, t), g)
+                    t = mulmod(t, t)
                     s = _add(level, s, t)
             else:
                 s = _sub(level, _powmod(level, r, (Q**d - 1) // 2, g), [1])
@@ -535,11 +546,7 @@ def _roots(level, f):
     if not f:
         raise DomainError("the zero polynomial has every root")
     found = []
-    if level.size <= 4096:
-        for a in range(level.size):
-            if not _eval(level, f, a):
-                found.append(a)
-    else:
+    if len(f) > 1:
         # strip to the part that splits in this field, then split off roots
         _, lin = _frobenius_round(level, [0, 1], f)
         if len(lin) > 1:

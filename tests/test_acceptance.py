@@ -5,6 +5,7 @@ per criterion; each test also prints a `criterion NN: PASS` line with the
 measured size and, where a budget applies, the elapsed time.
 """
 
+import hashlib
 import random
 import subprocess
 import sys
@@ -304,6 +305,11 @@ def test_criterion_10_index_reduction_preserves_invariants():
     _report(10, f"10 sampled matrices over GF(16), {elapsed:.1f}s")
 
 
+# SHA-256 of `verify --suite all --seed 0 --output json`; a change that
+# alters any reported figure or the report's layout must update it
+VERIFY_ALL_SHA256 = "7d7ff1950ba4973bd259f69e425a51073c9fff84ed19625bdfd3239003962b07"
+
+
 def test_criterion_11_verify_output_deterministic():
     cmd = [
         sys.executable,
@@ -323,4 +329,5 @@ def test_criterion_11_verify_output_deterministic():
     assert second.returncode == 0, second.stderr.decode()
     assert first.stdout
     assert first.stdout == second.stdout
-    _report(11, f"two runs, {len(first.stdout)} identical bytes")
+    assert hashlib.sha256(first.stdout).hexdigest() == VERIFY_ALL_SHA256
+    _report(11, f"two runs, {len(first.stdout)} identical bytes, pinned digest")

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import galois_moebius as gm
@@ -209,3 +211,63 @@ def test_multiplicative_order_rejects_zero_multiple(t212):
 def test_multiplicative_order_rejects_non_int_multiple(t212, multiple):
     with pytest.raises(DomainError):
         multiplicative_order(t212.top, 2, divisor_of=multiple)
+
+
+def _frob_reference(tower, a, i):
+    """x -> x**(q**i) as the F_q-linear map on the digits of a whose basis
+    images come from iterating the first Frobenius on the basis."""
+    top, q, n = tower.top, tower.q, tower.n
+
+    def linear(images, x):
+        out = 0
+        for img in images:
+            x, c = divmod(x, q)
+            out = top.add(out, top.mul(c, img))
+        return out
+
+    row = [q**j for j in range(n)]
+    first = [top.pow(v, q) for v in row]
+    for _ in range(i % n):
+        row = [linear(first, v) for v in row]
+    return linear(row, a)
+
+
+@pytest.mark.parametrize(
+    "params", [(2, 1, 4), (3, 1, 4), (2, 2, 3), (2, 1, 12)], ids=["F16", "F81", "F64/F4", "F4096"]
+)
+def test_frob_code_matches_q_linear_reference(params):
+    tower = gm.build_tower(*params)
+    codes = range(tower.size)
+    if tower.size > 256:
+        codes = random.Random(41).sample(codes, 200)
+    for i in range(-1, tower.n + 1):
+        for a in codes:
+            assert tower._frob_code(a, i) == _frob_reference(tower, a, i), (a, i)
+
+
+def _tuple_key(level, a):
+    """Flattened base-p digits of a, constant digit first, level by level."""
+    if level.base is None:
+        return (a,)
+    out = ()
+    for c in level.decode(a):
+        out += _tuple_key(level.base, c)
+    return out
+
+
+@pytest.mark.parametrize(
+    "level",
+    [
+        gm.build_tower(2, 1, 2).top,
+        gm.build_tower(3, 1, 2).top,
+        gm.build_tower(2, 2, 2).top,
+        gm.build_tower(3, 2, 2).top,
+        quadratic_extension(gm.build_tower(2, 2, 2).top),
+    ],
+    ids=["F4", "F9", "F16/F4", "F81/F9", "F256/F16"],
+)
+def test_lex_key_orders_like_the_digit_tuple(level):
+    codes = range(level.size)
+    keys = [level.lex_key(a) for a in codes]
+    assert len(set(keys)) == level.size
+    assert sorted(codes, key=level.lex_key) == sorted(codes, key=lambda a: _tuple_key(level, a))

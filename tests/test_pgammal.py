@@ -280,3 +280,24 @@ def test_semilinear_act_equals_parts(t212):
     g = Semilinear(Mat2(t212, 0, 1, 1, 0), 1)
     f = Poly(t212.top, [2, 1, 1])
     assert semilinear_act(g, f) == moebius_act(g.mat, frobenius_poly(f, 1))
+
+
+@pytest.mark.parametrize(
+    "params, classes",
+    [((2, 1, 2), 60), ((2, 1, 3), 504), ((3, 1, 2), 720), ((2, 1, 4), 4080)],
+    ids=["F4", "F8", "F9", "F16"],
+)
+def test_proj_order_matches_bruteforce_on_every_class(params, classes):
+    mats = list(all_proj_classes(gm.build_tower(*params)))
+    assert len(mats) == classes
+    for A in mats:
+        assert proj_order(A) == proj_order_bruteforce(A), A
+
+
+@pytest.mark.parametrize("params", [(5, 1, 2), (3, 1, 4), (2, 1, 12)], ids=["F25", "F81", "F4096"])
+def test_proj_order_matches_bruteforce_on_larger_fields(params):
+    tower = gm.build_tower(*params)
+    rng = random.Random(31)
+    mats = [Mat2(tower, 1, 1, 0, 1)] + [random_mat2(tower, rng) for _ in range(12)]
+    for A in mats:
+        assert proj_order(A) == proj_order_bruteforce(A), A

@@ -227,3 +227,44 @@ def test_mul_degree_property(cf, cg):
         assert h.degree == f.degree + g.degree
     else:
         assert h.degree == -1
+
+
+def _roots_by_scan(level, f):
+    """Every code a with f(a) = 0 by Horner evaluation, in lex order."""
+    found = []
+    for a in range(level.size):
+        acc = 0
+        for c in reversed(f):
+            acc = level.add(level.mul(acc, a), c)
+        if not acc:
+            found.append(a)
+    return sorted(found, key=level.lex_key)
+
+
+@pytest.mark.parametrize(
+    "params", [(2, 1, 2), (3, 1, 2), (5, 1, 2), (2, 1, 12)], ids=["F4", "F9", "F25", "F4096"]
+)
+def test_roots_match_evaluation_scan(params):
+    level = gm.build_tower(*params).top
+    rng = random.Random(43)
+    for trial in range(12):
+        f = [rng.randrange(level.size) for _ in range(rng.randrange(1, 6))] + [1]
+        # odd trials multiply in up to three random linear factors
+        for _ in range(rng.randrange(4) if trial % 2 else 0):
+            f = level.poly_mul(f, [level.neg(rng.randrange(level.size)), 1])
+        f = level.poly_mul(f, [rng.randrange(1, level.size)])
+        assert polyring._roots(level, f) == _roots_by_scan(level, f), f
+
+
+@pytest.mark.parametrize(
+    "level",
+    [
+        gm.build_tower(2, 1, 2).top,
+        gm.build_tower(2, 1, 12).top,
+        gm.quadratic_extension(gm.build_tower(2, 6, 2).top),
+    ],
+    ids=["F4", "F4096", "F4096^2"],
+)
+def test_roots_of_a_nonzero_constant(level):
+    for c in (1, level.size - 1):
+        assert roots(Poly(level, [c])) == []

@@ -1,8 +1,12 @@
 """Polynomials fixed by the twisted projective action, four ways.
 
 * census: scan every monic irreducible of a degree and keep the fixed
-  ones.  Exponential in the degree but assumption free, so it doubles as
-  the ground truth the fast route is tested against.
+  ones.  The irreducibles come from a sieve over all Q**k monic
+  candidates (one byte each, bounded by the census budget), and each is
+  tested against one substitution table per element and degree, then
+  every hit is re-verified through the action itself.  Exponential in
+  the degree but assumption free, so it doubles as the ground truth the
+  fast route is tested against.
 * enumerate_invariants: the production path.  The degree arithmetic of a
   group element singles out a handful of sparse "fixing polynomials" of
   degree about q**s + 1 whose degree-k irreducible factors are exactly the
@@ -276,6 +280,49 @@ class CensusReport:
         }
 
 
+def _substitution_rows(level, mat: Mat2, k: int):
+    """Row i lists the pairs (j, t), t != 0, where t is the x**i
+    coefficient of (a*x + b)**j * (c*x + d)**(k - j), so that the action's
+    image of a degree-k polynomial with coefficients c_j has x**i
+    coefficient sum(t * c_j)."""
+    a, b, c, d = mat.entries
+    num = polyring._trim([b, a])
+    den = polyring._trim([d, c])
+    npow, dpow = [[1]], [[1]]
+    for _ in range(k):
+        npow.append(level.poly_mul(npow[-1], num))
+        dpow.append(level.poly_mul(dpow[-1], den))
+    rows = [[] for _ in range(k + 1)]
+    for j in range(k + 1):
+        for i, t in enumerate(level.poly_mul(npow[j], dpow[k - j])):
+            if t:
+                rows[i].append((j, t))
+    return rows
+
+
+def _fixed_by_table(level, mat: Mat2, frob, k: int, listing):
+    """The coefficient vectors of the listing (monic, degree k) fixed by
+    the matrix after the coefficient map frob (a list indexed by code).
+    The image of f is fixed exactly when its x**k coefficient L is nonzero
+    (L = 0: a root goes to infinity) and its x**i coefficient is L * f_i
+    for every i < k; a candidate is dropped at its first mismatch."""
+    rows = _substitution_rows(level, mat, k)
+    top, lower = rows[k], rows[:k]
+    mul, add = level.mul, level.add
+
+    def coeff(row, fc):
+        acc = 0
+        for j, t in row:
+            acc = add(acc, mul(t, fc[j]))
+        return acc
+
+    for cs in listing:
+        fc = [frob[c] for c in cs]
+        lead = coeff(top, fc)
+        if lead and all(coeff(row, fc) == mul(lead, ci) for row, ci in zip(lower, cs)):
+            yield cs
+
+
 def census(
     g,
     degrees,
@@ -284,9 +331,15 @@ def census(
 ) -> CensusReport:
     """Exhaustive fixed-polynomial scan over whole degrees.
 
+    Each degree k lists the monic irreducibles by sieve
+    (polyring.monic_irreducibles) and tests them against one table of the
+    coefficients of (a*x + b)**j * (c*x + d)**(k - j), built once for the
+    element and the degree, instead of substituting into each candidate.
     The budget bounds the number of monic candidates (field size to the
-    power of the degree) per requested degree.  The report re-verifies its
-    own entries before it is returned."""
+    power of the degree) per requested degree, and with it the sieve's
+    one-byte flag per candidate.  The report re-verifies its own entries
+    through is_invariant, the action's own route, before it is
+    returned."""
     g = _as_semilinear(g)
     if level is None:
         level = g.tower.top
@@ -298,10 +351,15 @@ def census(
             raise BudgetExceeded(
                 f"degree {k} needs {level.size}**{k} candidates, over the budget {budget}"
             )
+    if level.frob is None:
+        raise DomainError("this level has no tower Frobenius attached")
+    if any(x >= level.size for x in g.mat.entries):
+        raise DomainError("matrix entries do not lie in the coefficient field")
+    frob = [level.frob(a, g.frob) for a in range(level.size)]
     entries = []
     for k in degrees:
-        candidates = (Poly(level, c) for c in polyring.monic_irreducibles(level, k))
-        polys = tuple(f for f in candidates if is_invariant(g, f))
+        fixed = _fixed_by_table(level, g.mat, frob, k, polyring.monic_irreducibles(level, k))
+        polys = tuple(Poly(level, cs) for cs in fixed)
         entries.append(CensusEntry(k, len(polys), polys))
     element = f"{g.mat.to_text()} | frob={g.frob}"
     report = CensusReport(element, level.size, budget, tuple(entries))

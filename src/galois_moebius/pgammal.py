@@ -113,6 +113,8 @@ class Mat2:
         )
 
     def frobenius(self, i: int) -> "Mat2":
+        if i % self.tower.n == 0:
+            return self
         fr = self.tower._frob_code
         return Mat2(self.tower, fr(self.a, i), fr(self.b, i), fr(self.c, i), fr(self.d, i))
 

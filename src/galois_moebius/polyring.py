@@ -748,16 +748,69 @@ def _irreducible_scan(level, k: int, coeffs):
             yield cand
 
 
+def _sieve(level, k: int):
+    """The monic irreducibles of degree k as tail tuples (c_0, ...,
+    c_(k-1)), in lexicographic order, by crossing out every product f * g
+    of a monic irreducible f of degree d <= k/2 and a monic g of degree
+    k - d.
+
+    A tail owns one flag, at the index whose base-Q digits are the
+    elements_lex ranks of c_0, ..., c_(k-1), c_0 most significant, so the
+    flags run in the order of itertools.product over elements_lex.  For
+    k > 1 the tails with c_0 = 0 (multiples of x) are out from the start.
+    For each f the products are walked by g's lower coefficients but the
+    last: those fix c_0, ..., c_(m-2) (m = k - d) and the base of
+    c_(m-1), ..., c_(k-1), and g's last coefficient a then adds a * f_t to
+    c_(m-1+t), one column of flag offsets per (t, base) built on first use.
+    """
+    Q = level.size
+    lex = level.elements_lex()
+    rank = [0] * Q
+    for r, a in enumerate(lex):
+        rank[a] = r
+    alive = bytearray(b"\1") * Q**k
+    if k > 1:
+        alive[: Q ** (k - 1)] = bytes(Q ** (k - 1))
+    mul, add = level.mul, level.add
+    for d in range(1, k // 2 + 1):
+        m = k - d
+        head = [Q ** (k - 1 - i) for i in range(m - 1)]
+        for f in monic_irreducibles(level, d):
+            if not f[0]:
+                continue  # x, whose multiples are out already
+            scaled = [[mul(a, ft) for a in range(Q)] for ft in f]
+            columns = {}
+
+            def column(t, v):
+                col = columns.get((t, v))
+                if col is None:
+                    w = Q ** (d - t)
+                    col = columns[t, v] = [rank[add(v, s)] * w for s in scaled[t]]
+                return col
+
+            for g in itertools.product(range(Q), repeat=m - 1):
+                c = [0] * m + list(f[:d])
+                for j, gj in enumerate(g):
+                    for t in range(d + 1):
+                        c[j + t] = add(c[j + t], scaled[t][gj])
+                base = sum(rank[c[i]] * head[i] for i in range(m - 1))
+                cols = [column(t, c[m - 1 + t]) for t in range(d + 1)]
+                for off in map(sum, zip(*cols)):
+                    alive[base + off] = 0
+    return itertools.compress(itertools.product(lex, repeat=k), alive)
+
+
 def monic_irreducibles(level, k: int) -> tuple[tuple[int, ...], ...]:
     """Cached tuple of coefficient vectors (constant first, with the
     leading 1) of all monic irreducibles of degree k, in lexicographic
-    coefficient order."""
+    coefficient order, listed by _sieve.  The sieve holds Q**k one-byte
+    flags while it runs."""
     if k < 1:
         raise DegreeMismatch("irreducible degree must be >= 1")
     cache = level._irr_cache
     got = cache.get(k)
     if got is None:
-        got = tuple(map(tuple, _irreducible_scan(level, k, level.elements_lex())))
+        got = tuple((*tail, 1) for tail in _sieve(level, k))
         cache[k] = got
     return got
 

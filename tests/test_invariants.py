@@ -1,9 +1,12 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import galois_moebius as gm
+from galois_moebius import invariants
 from galois_moebius.errors import (
     BudgetExceeded,
     DegreeTooSmall,
@@ -11,6 +14,7 @@ from galois_moebius.errors import (
     EvenDegree,
     EvenParameter,
     NotInvolution,
+    SingularMatrix,
 )
 from galois_moebius.invariants import (
     admissible_shifts,
@@ -142,6 +146,64 @@ def test_census_budget(t212):
     g = Semilinear(Mat2.identity(t212), 1)
     with pytest.raises(BudgetExceeded):
         census(g, [9], budget=4**8)
+
+
+def test_census_rejects_entries_outside_the_level(t212):
+    g = Semilinear(Mat2(t212, 2, 1, 1, 0), 2)
+    with pytest.raises(DomainError):
+        census(g, [2], level=t212.mid)
+
+
+TABLE_TOWERS = ((2, 1, 2), (2, 1, 3), (3, 1, 2), (5, 1, 2), (2, 2, 2))
+
+
+@st.composite
+def table_cases(draw):
+    """An element, a level (the top, or the middle field with a matrix
+    over it) and monic polynomials of one degree, reducible ones
+    included: every one of them when there are at most 400, else a random
+    sample.  Matrix shapes with zero entries are drawn on purpose, and
+    with c != 0 some candidates get the root -d/c, whose image goes to
+    infinity."""
+    tower = gm.build_tower(*draw(st.sampled_from(TABLE_TOWERS)))
+    level = draw(st.sampled_from((tower.top, tower.mid)))
+    Q = level.size
+    a, b, c, d = (draw(st.integers(1, Q - 1)) for _ in range(4))
+    shape = draw(st.sampled_from(("any", "c=0", "b=0", "swap")))
+    if shape == "c=0":
+        c = 0
+    elif shape == "b=0":
+        b = 0
+    elif shape == "swap":
+        a, b, c, d = 0, 1, 1, 0
+    try:
+        mat = Mat2(tower, a, b, c, d)
+    except SingularMatrix:
+        assume(False)
+    k = draw(st.integers(1, 5))
+    if Q**k <= 400:
+        listing = [(*tail, 1) for tail in itertools.product(range(Q), repeat=k)]
+    else:
+        tails = st.lists(st.integers(0, Q - 1), min_size=k, max_size=k)
+        listing = [(*tail, 1) for tail in draw(st.lists(tails, min_size=1, max_size=40))]
+        if c:
+            # x + d/c has the root -d/c
+            pole = [level.mul(d, level.inv(c)), 1]
+            for h in draw(st.lists(tails.map(lambda t: t[1:]), max_size=10)):
+                listing.append(tuple(level.poly_mul(pole, [*h, 1])))
+    return level, mat, k, listing
+
+
+@settings(max_examples=60, deadline=None)
+@given(table_cases())
+def test_census_table_filter_matches_is_invariant(case):
+    level, mat, k, listing = case
+    for i in range(1, mat.tower.n + 1):
+        frob = [level.frob(x, i) for x in range(level.size)]
+        got = list(invariants._fixed_by_table(level, mat, frob, k, listing))
+        g = Semilinear(mat, i)
+        want = [cs for cs in listing if is_invariant(g, Poly(level, cs))]
+        assert got == want, i
 
 
 def test_scrim_counts_agree():

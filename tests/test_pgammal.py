@@ -54,6 +54,14 @@ def test_mat2_mul_inv(t212):
         assert (A @ B).entries == A.mul(B).entries
 
 
+def test_mat2_trivial_frobenius_is_self(t214):
+    m = random_mat2(t214, random.Random(5))
+    n = t214.n
+    assert m.frobenius(n) is m
+    assert m.frobenius(2 * n) is m
+    assert m.frobenius(1) == Mat2(t214, *(t214.frobenius(x, 1) for x in m.entries))
+
+
 def test_mat2_parse_entries(t212):
     A = Mat2.parse(t212, "[0,1];[1,0];[0,0];[1,1]")
     assert A.entries == (2, 1, 0, 3)

@@ -13,6 +13,7 @@ from galois_moebius.errors import (
     NotPrime,
     ZeroConstantTerm,
 )
+from galois_moebius.gftower import prime_level
 from galois_moebius.polyring import (
     Poly,
     count_irreducibles,
@@ -181,6 +182,32 @@ def test_monic_irreducibles_census(f9):
         for cs in got:
             assert cs[-1] == 1 and is_irreducible(Poly(f9, cs))
     assert monic_irreducibles(f9, 2) is monic_irreducibles(f9, 2)
+
+
+SIEVE_LEVELS = {
+    "F2": lambda: prime_level(2),
+    "F3": lambda: prime_level(3),
+    "F4": lambda: gm.build_tower(2, 1, 2).top,
+    "F5": lambda: prime_level(5),
+    "F8": lambda: gm.build_tower(2, 1, 3).top,
+    "F9": lambda: gm.build_tower(3, 1, 2).top,
+    "F25": lambda: gm.build_tower(5, 1, 2).top,
+    "F16-2.1.4": lambda: gm.build_tower(2, 1, 4).top,
+    "F16-2.2.2": lambda: gm.build_tower(2, 2, 2).top,
+    "F8-x3+x2+1": lambda: gm.build_tower(2, 1, 3, h=(1, 0, 1, 1)).top,
+}
+
+
+@pytest.mark.parametrize("name", list(SIEVE_LEVELS))
+def test_monic_irreducibles_sieve_matches_scan(name):
+    level = SIEVE_LEVELS[name]()
+    k = 1
+    while level.size**k <= 4096:
+        got = monic_irreducibles(level, k)
+        want = tuple(map(tuple, polyring._irreducible_scan(level, k, level.elements_lex())))
+        assert got == want, (name, k)
+        assert len(got) == count_irreducibles(level.size, k)
+        k += 1
 
 
 def test_iter_monic_irreducibles_lex(f9):

@@ -11,12 +11,12 @@ F_p.  Consequences used throughout:
 * a base-level element embeds into any extension as the same int;
 * in characteristic 2, addition at every level is integer xor.
 
-The prime field uses direct modular arithmetic.  Extension levels build
-discrete exp/log tables (for mul, inv, pow) whenever they have at most
-2**16 elements.  Every level with at most 2048 elements also gets lazy
-per-row multiplication and addition tables used by the polynomial inner
-loops.  Larger extension levels fall back to generic arithmetic delegated
-to the level below.
+Every level, the prime field included, runs one set-up on its generic
+product (a * b mod p, or over the level below modulo the level's modulus):
+discrete exp/log tables (for mul, inv, pow) when it has at most 2**16
+elements, and lazy per-row multiplication and addition tables for the
+polynomial inner loops when it has at most 2048.  Larger levels power the
+generic product by square-and-multiply.
 
 The tower Frobenius x -> x**(q**i) is the top level's power map, so on a
 top with exp/log tables it is one table lookup; it needs no tables of its
@@ -41,7 +41,7 @@ from .errors import (
     NotPrime,
     ReducibleModulus,
 )
-from .numtheory import divisors, factorize, is_prime
+from .numtheory import divisors, factorize, is_prime, order_from_multiple, power
 
 _LOG_CAP = 1 << 16
 _ROW_CAP = 2048
@@ -197,19 +197,8 @@ class Level:
 
     def _pow_generic(self, a, k):
         if k < 0:
-            return self._pow_generic(self._inv_generic(a), -k)
-        if not a:
-            return 1 if k == 0 else 0
-        result = 1
-        base = a
-        mul = self._mul_generic
-        while k:
-            if k & 1:
-                result = mul(result, base)
-            k >>= 1
-            if k:
-                base = mul(base, base)
-        return result
+            a, k = self._inv_generic(a), -k
+        return power(a, k, self._mul_generic, 1)
 
     def _mul_generic(self, a, b):
         raise NotImplementedError
@@ -389,39 +378,12 @@ class PrimeLevel(Level):
             raise NotPrime(f"{p} is not prime")
         self.p = p
         self.size = p
-        # direct modular forms: the prime field needs no tables
-        if p == 2:
-            self.add = self.sub = lambda a, b: a ^ b
-            self.neg = lambda a: a
-        else:
-            self.add = lambda a, b: (a + b) % p
-            self.sub = lambda a, b: (a - b) % p
-            self.neg = lambda a: (-a) % p
-        self.mul = lambda a, b: (a * b) % p
-
-        def _inv(a):
-            if not a:
-                raise DivisionByZero("inverse of zero")
-            return pow(a, p - 2, p)
-
-        def _pow(a, k):
-            if not a:
-                if k > 0:
-                    return 0
-                if k == 0:
-                    return 1
-                raise DivisionByZero("negative power of zero")
-            if k >= 0:
-                return pow(a, k, p)
-            return pow(pow(a, p - 2, p), -k, p)
-
-        self.inv = _inv
-        self.pow = _pow
-        if p <= _ROW_CAP:
-            self._mul_rows = [None] * p
-            if p != 2:
-                self._add_rows = [None] * p
+        self._build_exp_log()
+        self._install_scalar_ops()
         self._install_poly_ops()
+
+    def _mul_generic(self, a, b):
+        return a * b % self.p
 
     def decode(self, a):
         return [a]
@@ -514,8 +476,8 @@ def quadratic_extension(level: Level) -> ExtLevel:
 
 def first_irreducible(level: Level, k: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree k."""
-    if k < 1:
-        raise DegreeMismatch("modulus degree must be >= 1")
+    if not isinstance(k, int) or k < 1:
+        raise DegreeMismatch(f"modulus degree must be an int >= 1, got {k!r}")
     for cand in polyring._irreducible_scan(level, k, level.elements_lex()):
         return tuple(cand)
     raise NotFound("no irreducible of the requested degree")
@@ -807,7 +769,4 @@ def multiplicative_order(level: Level, x: int, divisor_of: int | None = None) ->
         raise DomainError(f"divisor_of must be an int, got {o!r}")
     if level.pow(x, o) != 1:
         raise DomainError("claimed exponent does not annihilate x")
-    for r in factorize(o):
-        while o % r == 0 and level.pow(x, o // r) == 1:
-            o //= r
-    return o
+    return order_from_multiple(o, lambda k: level.pow(x, k) == 1)

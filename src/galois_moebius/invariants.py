@@ -343,9 +343,9 @@ def census(
     g = _as_semilinear(g)
     if level is None:
         level = g.tower.top
-    degrees = [int(k) for k in degrees]
-    if any(k < 1 for k in degrees):
-        raise DomainError("census degrees must be >= 1")
+    degrees = list(degrees)
+    if not all(isinstance(k, int) and k >= 1 for k in degrees):
+        raise DomainError(f"census degrees must be ints >= 1, got {degrees!r}")
     for k in degrees:
         if level.size**k > budget:
             raise BudgetExceeded(

@@ -1,4 +1,7 @@
-"""Integer helpers: primality, factorization, divisors, phi, mu.
+"""Integer helpers: primality, factorization, divisors, phi, mu, and the
+two group algorithms shared by field levels, polynomials modulo f and
+semilinear group elements: power (square-and-multiply) and
+order_from_multiple (an element's order from a known multiple of it).
 
 Everything here is deterministic.  Miller-Rabin uses a fixed base set that
 is exact for inputs below 3.3 * 10**24, far above anything this package
@@ -142,3 +145,29 @@ def next_prime_in_progression(floor: int, residue: int, modulus: int) -> int:
     while not is_prime(p):
         p += modulus
     return p
+
+
+def power(x, e: int, mul, one):
+    """x**e by square-and-multiply under the product mul, with one the
+    identity, for an int e >= 0 (DomainError otherwise).  Squarings are
+    mul(x, x) with the same object twice, so mul can spot them."""
+    if not isinstance(e, int) or e < 0:
+        raise DomainError(f"exponent must be an int >= 0, got {e!r}")
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return result
+
+
+def order_from_multiple(m: int, trivial_at) -> int:
+    """The least k with trivial_at(k), given trivial_at(m) for an m >= 1 and
+    that such k are the multiples of the least one, as the k with x**k = 1
+    are: each prime factor r comes off m while trivial_at(m // r) holds."""
+    for r in factorize(m):
+        while m % r == 0 and trivial_at(m // r):
+            m //= r
+    return m

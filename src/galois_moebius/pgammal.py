@@ -32,7 +32,7 @@ from .errors import (
     ZeroDenominator,
 )
 from .gftower import FieldElement, FieldTower, TowerEmbedding
-from .numtheory import factorize, next_prime_in_progression
+from .numtheory import next_prime_in_progression, order_from_multiple, power
 from .polyring import Poly, frobenius_poly
 
 
@@ -170,6 +170,8 @@ class Semilinear:
         n = mat.tower.n
         if frob is None:
             frob = n
+        if not isinstance(frob, int):
+            raise DomainError(f"Frobenius index must be an int, got {frob!r}")
         frob %= n
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "frob", frob if frob else n)
@@ -204,17 +206,9 @@ class Semilinear:
         return Semilinear(self.mat.inv().frobenius(j), j)
 
     def __pow__(self, k: int) -> "Semilinear":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = Semilinear.identity(self.tower)
-        base = self
-        while k:
-            if k & 1:
-                result = result.compose(base)
-            k >>= 1
-            if k:
-                base = base.compose(base)
-        return result
+        if isinstance(k, int) and k < 0:
+            return self.inverse() ** -k
+        return power(self, k, Semilinear.compose, Semilinear.identity(self.tower))
 
     def act(self, f: Poly) -> Poly:
         return semilinear_act(self, f)
@@ -284,17 +278,19 @@ def semilinear_act(g: Semilinear, f: Poly) -> Poly:
     return moebius_act(g.mat, frobenius_poly(f, g.frob))
 
 
-def twisted_product(mat: Mat2, count: int, step: int = 1) -> Mat2:
-    """sigma_((count-1)*step)(mat) * ... * sigma_step(mat) * mat.
+def _check_counts(**values) -> None:
+    for name, v in values.items():
+        if not isinstance(v, int) or v < 0:
+            raise DomainError(f"{name} must be an int >= 0, got {v!r}")
 
-    This descending product is the matrix part of [mat, sigma_step]**count,
-    so powers of a group element and this helper always agree."""
-    if count < 0:
-        raise DomainError("factor count must be >= 0")
-    result = Mat2.identity(mat.tower)
-    for j in range(count):
-        result = mat.frobenius(j * step).mul(result)
-    return result
+
+def twisted_product(mat: Mat2, count: int, step: int = 1) -> Mat2:
+    """sigma_((count-1)*step)(mat) * ... * sigma_step(mat) * mat, computed
+    as [mat, sigma_step]**count, whose matrix part it is.  Matrix products
+    are exact, so the entries equal the descending product's own, not just
+    up to a scalar."""
+    _check_counts(count=count)
+    return (Semilinear(mat, step) ** count).mat
 
 
 def proj_order(mat: Mat2) -> int:
@@ -317,10 +313,7 @@ def proj_order(mat: Mat2) -> int:
     order = next((k for k in (mat.tower.p, Q - 1, Q + 1) if scalar_at(k)), None)
     if order is None:
         raise InternalInvariantError("no power of p, Q - 1, Q + 1 is scalar")
-    for r in factorize(order):
-        while order % r == 0 and scalar_at(order // r):
-            order //= r
-    return order
+    return order_from_multiple(order, scalar_at)
 
 
 def proj_order_bruteforce(mat: Mat2) -> int:
@@ -385,8 +378,7 @@ def fixing_polynomial(mat: Mat2, m: int, step: int = 1, cap: int | None = None) 
     Roots of this polynomial are exactly the points alpha with
     mat . alpha**(q**(step*m)) = alpha under the fractional linear action,
     which is what ties its irreducible factors to invariant polynomials."""
-    if m < 0:
-        raise DomainError("Frobenius exponent must be >= 0")
+    _check_counts(m=m, step=step)
     tower = mat.tower
     E = tower.q ** (step * m)
     if cap is not None and E + 1 > cap:
@@ -413,7 +405,8 @@ def fixing_polynomial_twisted(
     """Twisted variant: the roots are the alpha whose image beta under
     sigma_(step*i) satisfies B . beta**(q**(step*(m-i))) = beta, where B is
     the matrix part of [mat, sigma_step]**i."""
-    if not 0 <= i <= m:
+    _check_counts(i=i, m=m, step=step)
+    if i > m:
         raise DomainError("need 0 <= i <= m")
     n = mat.tower.n
     B = twisted_product(mat, i, step=step)

@@ -45,7 +45,7 @@ from .errors import (
     LevelMismatch,
     ZeroConstantTerm,
 )
-from .numtheory import divisors, moebius_mu, prime_power_split
+from .numtheory import divisors, moebius_mu, power, prime_power_split
 
 
 def _trim(c: list) -> list:
@@ -340,18 +340,7 @@ def _powmod(level, f, e, m):
     m = _monic(level, _trim(list(m)))
     if len(m) < 2:
         raise DomainError("powmod needs a modulus of degree >= 1")
-    if e < 0:
-        raise DomainError("powmod exponent must be nonnegative")
-    base = level.poly_rem_monic(list(f), m)
-    mulmod = _mulmod(level, m)
-    result = [1]
-    while e:
-        if e & 1:
-            result = mulmod(result, base)
-        e >>= 1
-        if e:
-            base = mulmod(base, base)
-    return result
+    return power(level.poly_rem_monic(list(f), m), e, _mulmod(level, m), [1])
 
 
 def _derivative(level, f):
@@ -643,17 +632,7 @@ class Poly:
         return divmod(self, other)[1]
 
     def __pow__(self, e: int):
-        if e < 0:
-            raise DomainError("negative polynomial power")
-        out = Poly.one(self.level)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return out
+        return power(self, e, Poly.__mul__, Poly.one(self.level))
 
     def __call__(self, a):
         val = a if isinstance(a, int) else a.val
@@ -805,8 +784,8 @@ def monic_irreducibles(level, k: int) -> tuple[tuple[int, ...], ...]:
     leading 1) of all monic irreducibles of degree k, in lexicographic
     coefficient order, listed by _sieve.  The sieve holds Q**k one-byte
     flags while it runs."""
-    if k < 1:
-        raise DegreeMismatch("irreducible degree must be >= 1")
+    if not isinstance(k, int) or k < 1:
+        raise DegreeMismatch(f"irreducible degree must be an int >= 1, got {k!r}")
     cache = level._irr_cache
     got = cache.get(k)
     if got is None:

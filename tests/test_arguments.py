@@ -1,0 +1,60 @@
+"""Degree, exponent, count and Frobenius arguments: an int gives a result
+or a typed error, anything else a typed error, never a bare TypeError or
+a silently truncated value."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import galois_moebius as gm
+from galois_moebius.errors import GaloisMoebiusError
+from galois_moebius.gftower import first_irreducible
+from galois_moebius.invariants import census
+from galois_moebius.pgammal import (
+    Mat2,
+    Semilinear,
+    fixing_polynomial,
+    fixing_polynomial_twisted,
+    twisted_product,
+)
+from galois_moebius.polyring import Poly, monic_irreducibles, powmod
+
+TOWER = gm.build_tower(2, 1, 2)
+A = Mat2(TOWER, 0, 1, 1, 1)
+F = Poly(TOWER.top, [1, 1])
+M = Poly(TOWER.top, [1, 1, 1])
+
+# entry point -> (call with the drawn value, whether None is a valid value)
+CALLS = {
+    "fixing_polynomial m": (lambda v: fixing_polynomial(A, v), False),
+    "fixing_polynomial step": (lambda v: fixing_polynomial(A, 2, step=v), False),
+    "fixing_polynomial_twisted i": (lambda v: fixing_polynomial_twisted(A, v, 2), False),
+    "fixing_polynomial_twisted m": (lambda v: fixing_polynomial_twisted(A, 1, v), False),
+    "fixing_polynomial_twisted step": (
+        lambda v: fixing_polynomial_twisted(A, 1, 2, step=v),
+        False,
+    ),
+    "twisted_product count": (lambda v: twisted_product(A, v), False),
+    "Semilinear frob": (lambda v: Semilinear(A, v), True),
+    "Semilinear power": (lambda v: Semilinear(A, 1) ** v, False),
+    "Poly power": (lambda v: F**v, False),
+    "powmod": (lambda v: powmod(F, v, M), False),
+    "monic_irreducibles": (lambda v: monic_irreducibles(TOWER.top, v), False),
+    "first_irreducible": (lambda v: first_irreducible(TOWER.top, v), False),
+    "census": (lambda v: census(Semilinear(A, 1), [v]), False),
+}
+
+VALUES = st.one_of(st.integers(-3, 3), st.floats(), st.text(max_size=2), st.none())
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+@settings(max_examples=25, deadline=None)
+@given(value=VALUES)
+def test_arguments_give_results_or_typed_errors(name, value):
+    call, none_ok = CALLS[name]
+    try:
+        call(value)
+    except GaloisMoebiusError:
+        return
+    assert isinstance(value, int) or (value is None and none_ok), (
+        f"{name} accepted {value!r}"
+    )

@@ -3,7 +3,12 @@ import random
 import pytest
 
 import galois_moebius as gm
-from galois_moebius.errors import DomainError, LevelMismatch, ReducibleModulus
+from galois_moebius.errors import (
+    DivisionByZero,
+    DomainError,
+    LevelMismatch,
+    ReducibleModulus,
+)
 from galois_moebius.gftower import (
     FieldElement,
     ext_level,
@@ -185,6 +190,69 @@ def test_prime_level_ops():
     assert f7.neg(2) == 5
     with pytest.raises(DomainError):
         f7.inv(0)
+
+
+def _trim(c):
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def _check_prime_level(level, p, pairs, exponents, rng):
+    """Every scalar op on the given pairs and exponents, and short
+    polynomial products and remainders, against plain ints mod p."""
+    for a, b in pairs:
+        assert level.add(a, b) == (a + b) % p
+        assert level.sub(a, b) == (a - b) % p
+        assert level.mul(a, b) == a * b % p
+    for a in {a for pair in pairs for a in pair}:
+        assert level.neg(a) == -a % p
+        if a:
+            assert level.inv(a) == pow(a, -1, p)
+        for k in exponents:
+            if a or k >= 0:
+                assert level.pow(a, k) == pow(a, k, p)
+            else:
+                with pytest.raises(DivisionByZero):
+                    level.pow(a, k)
+    with pytest.raises(DivisionByZero):
+        level.inv(0)
+    for _ in range(30):
+        f = [rng.randrange(p) for _ in range(rng.randrange(1, 9))]
+        g = [rng.randrange(p) for _ in range(rng.randrange(1, 9))]
+        prod = [0] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            for j, b in enumerate(g):
+                prod[i + j] = (prod[i + j] + a * b) % p
+        assert level.poly_mul(f, g) == prod
+        m = [rng.randrange(p) for _ in range(rng.randrange(1, 5))] + [1]
+        dm = len(m) - 1
+        r = list(prod)
+        for i in range(len(r) - 1, dm - 1, -1):
+            c = r[i]
+            for j in range(dm + 1):
+                r[i - dm + j] = (r[i - dm + j] - c * m[j]) % p
+        assert level.poly_rem_monic(prod, m) == _trim(r[:dm])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_small_prime_level_matches_modular_ints(p):
+    level = prime_level(p)
+    # the shared set-up: exp/log tables and row kernels, as on any small level
+    assert level._exp is not None and level._mul_rows is not None
+    pairs = [(a, b) for a in range(p) for b in range(p)]
+    _check_prime_level(level, p, pairs, range(-2 * p, 2 * p), random.Random(p))
+
+
+def test_large_prime_level_matches_modular_ints():
+    p = 65537
+    level = prime_level(p)
+    # above the exp/log and row caps: the generic product and power ladder
+    assert level._exp is None and level._mul_rows is None
+    rng = random.Random(p)
+    pairs = [(rng.randrange(p), rng.randrange(p)) for _ in range(100)] + [(0, 1), (p - 1, p - 1)]
+    exponents = [0, 1, 2, p - 2, p - 1, p, -1, -2, -(p - 2), rng.randrange(p**2), -rng.randrange(p**2)]
+    _check_prime_level(level, p, pairs, exponents, rng)
 
 
 def test_ext_level_requires_irreducible():

@@ -1,4 +1,5 @@
-"""Every import in the package source is used somewhere in its module."""
+"""Every import in the package source is used somewhere in its module, and
+the package has one square-and-multiply ladder."""
 
 import ast
 from pathlib import Path
@@ -50,3 +51,33 @@ def test_no_unused_imports(path):
     used = _used(tree)
     unused = [f"{path.name}:{line}: {name}" for line, name in _imported(tree) if name not in used]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def _is_halving(node):
+    return (
+        isinstance(node, ast.AugAssign)
+        and isinstance(node.op, ast.RShift)
+        and isinstance(node.value, ast.Constant)
+        and node.value.value == 1
+    )
+
+
+def test_one_square_and_multiply_ladder():
+    # every exponent ladder halves its exponent with `>>= 1`; the only one
+    # belongs in numtheory.power, which the field levels, polynomials and
+    # group elements all call
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}
+        # ast.walk goes outside in, so an inner function overrides its outer one
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, fn.name) for node in ast.walk(fn))
+        found += [
+            f"{path.name}:{node.lineno}: {owner.get(node, '<module>')}"
+            for node in ast.walk(tree)
+            if _is_halving(node)
+        ]
+    assert len(found) == 1 and found[0].startswith("numtheory.py:"), found
+    assert found[0].endswith(": power"), found

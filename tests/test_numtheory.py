@@ -1,4 +1,7 @@
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from galois_moebius.errors import DomainError, NotPrime
 from galois_moebius.numtheory import (
@@ -8,6 +11,8 @@ from galois_moebius.numtheory import (
     is_prime,
     moebius_mu,
     next_prime_in_progression,
+    order_from_multiple,
+    power,
     prime_power_split,
 )
 
@@ -89,3 +94,38 @@ def test_next_prime_in_progression():
 def test_nonpositive_input_is_a_domain_error(fn, n):
     with pytest.raises(DomainError):
         fn(n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.integers(0, 10**12), e=st.integers(0, 10**4), n=st.integers(1, 10**9))
+def test_power_matches_builtin_pow(x, e, n):
+    assert power(x % n, e, lambda a, b: a * b % n, 1 % n) == pow(x, e, n)
+
+
+def test_power_squares_with_the_same_object():
+    seen = []
+
+    def mul(a, b):
+        seen.append(a is b)
+        return a + b
+
+    assert power(3, 13, mul, 0) == 39
+    # 13 = 0b1101: three squarings, three multiplications into the result
+    assert seen.count(True) == 3 and seen.count(False) == 3
+
+
+@pytest.mark.parametrize("e", [-1, 2.0, "3", None])
+def test_power_rejects_a_bad_exponent(e):
+    with pytest.raises(DomainError):
+        power(2, e, lambda a, b: a * b, 1)
+
+
+def test_order_from_multiple_matches_bruteforce():
+    for n in range(2, 120):
+        for x in range(1, n):
+            if math.gcd(x, n) != 1:
+                continue
+            want = next(k for k in range(1, n) if pow(x, k, n) == 1)
+            assert order_from_multiple(euler_phi(n), lambda k: pow(x, k, n) == 1) == want
+            # any multiple of the order serves, not just the group order
+            assert order_from_multiple(6 * euler_phi(n), lambda k: pow(x, k, n) == 1) == want

@@ -176,6 +176,43 @@ def test_power_matches_twisted_product(t214):
             assert (g**count).mat.proj_eq(twisted_product(A, count, step=step))
 
 
+def _descending_product(mat, count, step):
+    """sigma_((count-1)*step)(mat) * ... * sigma_step(mat) * mat, one factor
+    at a time: the loop twisted_product used before it became a power."""
+    result = Mat2.identity(mat.tower)
+    for j in range(count):
+        result = mat.frobenius(j * step).mul(result)
+    return result
+
+
+# n = 2 on the first three, where sigma_-1 = sigma_1; n = 3 and 4 on the others
+@pytest.mark.parametrize(
+    "params",
+    [(2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 3), (2, 1, 4)],
+    ids=["F4", "F9", "F16-2.2.2", "F8", "F16-2.1.4"],
+)
+def test_twisted_product_matches_descending_loop(params):
+    tower = gm.build_tower(*params)
+    rng = random.Random(29)
+    mats = [Mat2(tower, 0, 1, 1, 0), *(random_mat2(tower, rng) for _ in range(3))]
+    for A in mats:
+        for step in range(-1, tower.n + 2):
+            for count in range(13):
+                want = _descending_product(A, count, step)
+                assert twisted_product(A, count, step=step).entries == want.entries
+
+
+def test_semilinear_power_matches_repeated_compose(t214):
+    rng = random.Random(31)
+    for _ in range(6):
+        g = random_semilinear(t214, rng)
+        acc = Semilinear.identity(t214)
+        for k in range(12):
+            assert g**k == acc
+            assert g ** (-k) == (acc.inverse() if k else acc)
+            acc = acc.compose(g)
+
+
 def test_proj_order_cases(t212):
     assert proj_order(Mat2.identity(t212)) == 1
     assert proj_order(Mat2(t212, 0, 1, 1, 0)) == 2

@@ -121,6 +121,18 @@ def test_gcd_and_powmod(f9):
     assert got == P(f9, 0, 1) % m
 
 
+def test_poly_power_matches_repeated_product(f9):
+    rng = random.Random(5)
+    for _ in range(6):
+        f = Poly(f9, [rng.randrange(9) for _ in range(rng.randrange(0, 4))])
+        m = Poly(f9, [rng.randrange(9) for _ in range(3)] + [1])
+        acc = Poly.one(f9)
+        for e in range(10):
+            assert f**e == acc
+            assert powmod(f, e, m) == acc % m
+            acc = acc * f
+
+
 def test_derivative_rules(f9):
     f = P(f9, 4, 3, 0, 1)
     g = P(f9, 1, 2)

@@ -1,9 +1,11 @@
-"""Fast enumeration of fixed polynomials, checked against a full scan.
+"""Fast enumeration of fixed polynomials, checked against the census.
 
-The census tries every monic irreducible of a degree and keeps the fixed
-ones.  The enumeration goes the other way: degree arithmetic decides
-which degrees can host invariants at all, and the eligible ones are read
-off the factors of sparse fixing polynomials.
+The census solves the fixed-point equations on the coefficients, one
+small linear system per scalar, and keeps the irreducible solutions; it
+needs no theory of which degrees can host invariants.  The enumeration
+goes the other way: degree arithmetic decides which degrees can host
+invariants at all, and the eligible ones are read off the factors of
+sparse fixing polynomials.
 """
 
 from galois_moebius import (

@@ -103,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cap-census",
         type=int,
         default=DEFAULT_CENSUS_BUDGET,
-        help="largest candidate count the census may scan",
+        help="largest candidate count (field size ** degree) the census accepts",
     )
     _add_output_args(inv)
 

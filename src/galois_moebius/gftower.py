@@ -545,6 +545,8 @@ class FieldElement:
         return FieldElement(self.level, self.level.mul(self.val, self.level.inv(other.val)))
 
     def __pow__(self, k: int):
+        if not isinstance(k, int):
+            raise DomainError(f"exponent must be an int, got {k!r}")
         return FieldElement(self.level, self.level.pow(self.val, k))
 
     def inv(self) -> "FieldElement":

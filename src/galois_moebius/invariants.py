@@ -1,12 +1,14 @@
 """Polynomials fixed by the twisted projective action, four ways.
 
-* census: scan every monic irreducible of a degree and keep the fixed
-  ones.  The irreducibles come from a sieve over all Q**k monic
-  candidates (one byte each, bounded by the census budget), and each is
-  tested against one substitution table per element and degree, then
-  every hit is re-verified through the action itself.  Exponential in
-  the degree but assumption free, so it doubles as the ground truth the
-  fast route is tested against.
+* census: every fixed monic irreducible of a degree, from the
+  fixed-point equations.  A polynomial f is fixed when the substitution
+  table of the element maps sigma(f) to a scalar multiple of f; for each
+  scalar that is a small linear system over F_p, whose solutions are
+  tested for irreducibility, and every hit is re-verified through the
+  action itself.  Only the trivial action lists the irreducibles, by a
+  sieve over all Q**k monic candidates (one byte each, bounded by the
+  census budget).  Free of the enumeration's degree theory, so it
+  doubles as the ground truth the fast route is tested against.
 * enumerate_invariants: the production path.  The degree arithmetic of a
   group element singles out a handful of sparse "fixing polynomials" of
   degree about q**s + 1 whose degree-k irreducible factors are exactly the
@@ -31,6 +33,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 
 from . import polyring
@@ -46,7 +49,7 @@ from .errors import (
     NotFound,
     NotInvolution,
 )
-from .gftower import FieldTower, Level
+from .gftower import FieldTower, Level, prime_level
 from .numtheory import divisors, euler_phi, moebius_mu, prime_power_split
 from .pgammal import (
     Mat2,
@@ -281,10 +284,9 @@ class CensusReport:
 
 
 def _substitution_rows(level, mat: Mat2, k: int):
-    """Row i lists the pairs (j, t), t != 0, where t is the x**i
-    coefficient of (a*x + b)**j * (c*x + d)**(k - j), so that the action's
-    image of a degree-k polynomial with coefficients c_j has x**i
-    coefficient sum(t * c_j)."""
+    """T[i][j], the x**i coefficient of (a*x + b)**j * (c*x + d)**(k - j),
+    so that the action's image of a degree-k polynomial with coefficients
+    c_j has x**i coefficient sum(T[i][j] * c_j)."""
     a, b, c, d = mat.entries
     num = polyring._trim([b, a])
     den = polyring._trim([d, c])
@@ -292,35 +294,142 @@ def _substitution_rows(level, mat: Mat2, k: int):
     for _ in range(k):
         npow.append(level.poly_mul(npow[-1], num))
         dpow.append(level.poly_mul(dpow[-1], den))
-    rows = [[] for _ in range(k + 1)]
+    rows = [[0] * (k + 1) for _ in range(k + 1)]
     for j in range(k + 1):
         for i, t in enumerate(level.poly_mul(npow[j], dpow[k - j])):
-            if t:
-                rows[i].append((j, t))
+            rows[i][j] = t
     return rows
 
 
-def _fixed_by_table(level, mat: Mat2, frob, k: int, listing):
-    """The coefficient vectors of the listing (monic, degree k) fixed by
-    the matrix after the coefficient map frob (a list indexed by code).
-    The image of f is fixed exactly when its x**k coefficient L is nonzero
-    (L = 0: a root goes to infinity) and its x**i coefficient is L * f_i
-    for every i < k; a candidate is dropped at its first mismatch."""
-    rows = _substitution_rows(level, mat, k)
-    top, lower = rows[k], rows[:k]
-    mul, add = level.mul, level.add
+def _solve(field, rows):
+    """Gauss-Jordan elimination over a field level on the augmented rows
+    (each row's last entry its right-hand side).  Returns a particular
+    solution and a basis of the null space, or None when the system is
+    inconsistent."""
+    mul, sub = field.mul, field.sub
+    n = len(rows[0]) - 1
+    pivots = []
+    for col in range(n):
+        r = len(pivots)
+        at = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if at is None:
+            continue
+        inv = field.inv(rows[at][col])
+        piv = [mul(inv, x) for x in rows[at]]
+        rows[at] = rows[r]
+        rows[r] = piv
+        for i, row in enumerate(rows):
+            c = row[col]
+            if c and i != r:
+                rows[i] = [sub(x, mul(c, y)) for x, y in zip(row, piv)]
+        pivots.append(col)
+    if any(row[n] for row in rows[len(pivots):]):
+        return None
+    particular = [0] * n
+    for row, col in zip(rows, pivots):
+        particular[col] = row[n]
+    basis = []
+    for free in sorted(set(range(n)) - set(pivots)):
+        v = [0] * n
+        v[free] = 1
+        for row, col in zip(rows, pivots):
+            v[col] = field.neg(row[free])
+        basis.append(v)
+    return particular, basis
 
-    def coeff(row, fc):
-        acc = 0
-        for j, t in row:
-            acc = add(acc, mul(t, fc[j]))
-        return acc
 
-    for cs in listing:
-        fc = [frob[c] for c in cs]
-        lead = coeff(top, fc)
-        if lead and all(coeff(row, fc) == mul(lead, ci) for row, ci in zip(lower, cs)):
-            yield cs
+def _fixed_points(level, g: Semilinear, k: int):
+    """Every monic polynomial of degree k over the level fixed by g,
+    reducible ones included, as coefficient tuples with the leading 1.
+
+    With T from _substitution_rows, f is fixed exactly when the image
+    T * sigma(f) is L * f for some L != 0 (L = 0: a root goes to
+    infinity).  For one L both sides are F_p-linear in the base-p digits
+    of the codes f_0, ..., f_(k-1) (f_k = 1), so the fixed f with that L
+    are the solutions of one affine system of (k + 1) * w equations in
+    k * w unknowns over F_p, w = level.flat_deg.  Most L are ruled out
+    over the level first: with sigma of order m on the level, applying
+    the equation m times gives P * f = N(L) * f, where
+    P = T * sigma(T) * ... * sigma**(m-1)(T) and N(L) is the product of
+    the sigma**j(L), j < m, so N(L) must be an eigenvalue of P with a
+    monic eigenvector."""
+    p, w = level.p, level.flat_deg
+    mul, add, sub, frob, idx = level.mul, level.add, level.sub, level.frob, g.frob
+    T = _substitution_rows(level, g.mat, k)
+    unit = [p**s for s in range(w)]
+    m = 1
+    while any(frob(e, m * idx) != e for e in unit):
+        m += 1
+    P = T
+    for j in range(1, m):
+        twisted = [[frob(x, j * idx) for x in row] for row in T]
+        P = [[reduce(add, map(mul, row, col)) for col in zip(*twisted)] for row in P]
+    fibres = {}
+    for L in range(1, level.size):
+        N = L
+        for j in range(1, m):
+            N = mul(N, frob(L, j * idx))
+        fibres.setdefault(N, []).append(L)
+
+    def has_monic_eigenvector(N):
+        rows = [[sub(x, N) if i == j else x for j, x in enumerate(row)] for i, row in enumerate(P)]
+        return _solve(level, [row[:k] + [level.neg(row[k])] for row in rows]) is not None
+
+    def digits(a):
+        out = []
+        for _ in range(w):
+            a, r = divmod(a, p)
+            out.append(r)
+        return out
+
+    # T * sigma on the digits: row i * w + r, column j * w + s holds
+    # digit r of T[i][j] * sigma(p**s)
+    sigma = [frob(e, idx) for e in unit]
+    image, const = [], []
+    for Ti in T:
+        blocks = [[digits(mul(x, e)) for e in sigma] for x in Ti[:k]]
+        image += [[col[r] for block in blocks for col in block] for r in range(w)]
+        const += digits(Ti[k])
+    fp = prime_level(p)
+    found = []
+    for N, scalars in fibres.items():
+        if not has_monic_eigenvector(N):
+            continue
+        for L in scalars:
+            # image - L * f = -const on the rows i < k, image = L - const on row k
+            times_L = [digits(mul(L, e)) for e in unit]
+            rhs = [-c for c in const[: k * w]] + [d - c for d, c in zip(times_L[0], const[k * w :])]
+            rows = [row + [b] for row, b in zip(image, rhs)]
+            for i in range(k):
+                for r in range(w):
+                    for s in range(w):
+                        rows[i * w + r][i * w + s] -= times_L[s][r]
+            solved = _solve(fp, [[x % p for x in row] for row in rows])
+            if solved is None:
+                continue
+            particular, basis = solved
+            sols = [particular]
+            for v in basis:
+                sols += [[(x + c * y) % p for x, y in zip(sol, v)] for sol in sols for c in range(1, p)]
+            for sol in sols:
+                codes = (sol[j * w : (j + 1) * w] for j in range(k))
+                found.append((*(sum(d * e for d, e in zip(c, unit)) for c in codes), 1))
+    return found
+
+
+def _fixed_by_solving(level, g: Semilinear, k: int) -> tuple[Poly, ...]:
+    """The monic irreducibles of degree k over the level fixed by g, in
+    lexicographic order.  A scalar matrix without a Frobenius twist on
+    the level fixes every one of them, which the sieve lists; any other
+    element fixes only the irreducible members of _fixed_points."""
+    p = level.p
+    unit = [p**s for s in range(level.flat_deg)]
+    if g.mat.is_scalar() and all(level.frob(e, g.frob) == e for e in unit):
+        return tuple(Poly(level, cs) for cs in polyring.monic_irreducibles(level, k))
+    polys = [
+        Poly(level, cs) for cs in _fixed_points(level, g, k) if polyring._irreducible(level, cs)
+    ]
+    return tuple(sorted(polys, key=Poly.lex_key))
 
 
 def census(
@@ -329,17 +438,18 @@ def census(
     budget: int = DEFAULT_CENSUS_BUDGET,
     level: Level | None = None,
 ) -> CensusReport:
-    """Exhaustive fixed-polynomial scan over whole degrees.
+    """Every fixed monic irreducible of each of the whole degrees.
 
-    Each degree k lists the monic irreducibles by sieve
-    (polyring.monic_irreducibles) and tests them against one table of the
-    coefficients of (a*x + b)**j * (c*x + d)**(k - j), built once for the
-    element and the degree, instead of substituting into each candidate.
-    The budget bounds the number of monic candidates (field size to the
-    power of the degree) per requested degree, and with it the sieve's
-    one-byte flag per candidate.  The report re-verifies its own entries
-    through is_invariant, the action's own route, before it is
-    returned."""
+    Each degree k solves the fixed-point equations of the element on the
+    coefficients, one small linear system over F_p per scalar (see
+    _fixed_points), and keeps the irreducible solutions; only the trivial
+    action (a scalar matrix without a Frobenius twist on the level), which
+    fixes everything, lists the monic irreducibles by sieve
+    (polyring.monic_irreducibles).  The budget bounds the number of monic
+    candidates (field size to the power of the degree) per requested
+    degree, the sieve's one-byte flag per candidate on the trivial
+    action.  The report re-verifies its own entries through is_invariant,
+    the action's own route, before it is returned."""
     g = _as_semilinear(g)
     if level is None:
         level = g.tower.top
@@ -355,11 +465,9 @@ def census(
         raise DomainError("this level has no tower Frobenius attached")
     if any(x >= level.size for x in g.mat.entries):
         raise DomainError("matrix entries do not lie in the coefficient field")
-    frob = [level.frob(a, g.frob) for a in range(level.size)]
     entries = []
     for k in degrees:
-        fixed = _fixed_by_table(level, g.mat, frob, k, polyring.monic_irreducibles(level, k))
-        polys = tuple(Poly(level, cs) for cs in fixed)
+        polys = _fixed_by_solving(level, g, k)
         entries.append(CensusEntry(k, len(polys), polys))
     element = f"{g.mat.to_text()} | frob={g.frob}"
     report = CensusReport(element, level.size, budget, tuple(entries))

@@ -288,8 +288,10 @@ def twisted_product(mat: Mat2, count: int, step: int = 1) -> Mat2:
     """sigma_((count-1)*step)(mat) * ... * sigma_step(mat) * mat, computed
     as [mat, sigma_step]**count, whose matrix part it is.  Matrix products
     are exact, so the entries equal the descending product's own, not just
-    up to a scalar."""
+    up to a scalar.  The step may be negative but must be an int."""
     _check_counts(count=count)
+    if not isinstance(step, int):
+        raise DomainError(f"step must be an int, got {step!r}")
     return (Semilinear(mat, step) ** count).mat
 
 

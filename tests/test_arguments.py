@@ -34,6 +34,8 @@ CALLS = {
         False,
     ),
     "twisted_product count": (lambda v: twisted_product(A, v), False),
+    "twisted_product step": (lambda v: twisted_product(A, 3, step=v), False),
+    "FieldElement power": (lambda v: TOWER.element(2) ** v, False),
     "Semilinear frob": (lambda v: Semilinear(A, v), True),
     "Semilinear power": (lambda v: Semilinear(A, 1) ** v, False),
     "Poly power": (lambda v: F**v, False),

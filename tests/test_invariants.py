@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import galois_moebius as gm
-from galois_moebius import invariants
+from galois_moebius import invariants, polyring
 from galois_moebius.errors import (
     BudgetExceeded,
     DegreeTooSmall,
@@ -154,34 +154,38 @@ def test_census_rejects_entries_outside_the_level(t212):
         census(g, [2], level=t212.mid)
 
 
-TABLE_TOWERS = ((2, 1, 2), (2, 1, 3), (3, 1, 2), (5, 1, 2), (2, 2, 2))
+SOLVER_TOWERS = ((2, 1, 2), (2, 1, 3), (3, 1, 2), (5, 1, 2), (2, 2, 2), (2, 1, 4))
 
 
 @st.composite
-def table_cases(draw):
-    """An element, a level (the top, or the middle field with a matrix
-    over it) and monic polynomials of one degree, reducible ones
-    included: every one of them when there are at most 400, else a random
-    sample.  Matrix shapes with zero entries are drawn on purpose, and
-    with c != 0 some candidates get the root -d/c, whose image goes to
-    infinity."""
-    tower = gm.build_tower(*draw(st.sampled_from(TABLE_TOWERS)))
+def solver_cases(draw):
+    """An element matrix, a level (the top, or the middle field with a
+    matrix over it), a degree and monic polynomials of that degree,
+    reducible ones included: every one of them when there are at most 400
+    (complete), else a random sample.  Matrix shapes with zero entries and
+    scalar matrices (the trivial action, or a Frobenius power alone) are
+    drawn on purpose, and with c != 0 some sampled candidates get the
+    root -d/c, whose image goes to infinity."""
+    tower = gm.build_tower(*draw(st.sampled_from(SOLVER_TOWERS)))
     level = draw(st.sampled_from((tower.top, tower.mid)))
     Q = level.size
     a, b, c, d = (draw(st.integers(1, Q - 1)) for _ in range(4))
-    shape = draw(st.sampled_from(("any", "c=0", "b=0", "swap")))
+    shape = draw(st.sampled_from(("any", "c=0", "b=0", "swap", "scalar")))
     if shape == "c=0":
         c = 0
     elif shape == "b=0":
         b = 0
     elif shape == "swap":
         a, b, c, d = 0, 1, 1, 0
+    elif shape == "scalar":
+        b, c, d = 0, 0, a
     try:
         mat = Mat2(tower, a, b, c, d)
     except SingularMatrix:
         assume(False)
     k = draw(st.integers(1, 5))
-    if Q**k <= 400:
+    complete = Q**k <= 400
+    if complete:
         listing = [(*tail, 1) for tail in itertools.product(range(Q), repeat=k)]
     else:
         tails = st.lists(st.integers(0, Q - 1), min_size=k, max_size=k)
@@ -191,19 +195,59 @@ def table_cases(draw):
             pole = [level.mul(d, level.inv(c)), 1]
             for h in draw(st.lists(tails.map(lambda t: t[1:]), max_size=10)):
                 listing.append(tuple(level.poly_mul(pole, [*h, 1])))
-    return level, mat, k, listing
+    return level, mat, k, listing, complete
 
 
 @settings(max_examples=60, deadline=None)
-@given(table_cases())
-def test_census_table_filter_matches_is_invariant(case):
-    level, mat, k, listing = case
+@given(solver_cases())
+def test_census_solver_matches_is_invariant(case):
+    level, mat, k, listing, complete = case
     for i in range(1, mat.tower.n + 1):
-        frob = [level.frob(x, i) for x in range(level.size)]
-        got = list(invariants._fixed_by_table(level, mat, frob, k, listing))
         g = Semilinear(mat, i)
-        want = [cs for cs in listing if is_invariant(g, Poly(level, cs))]
-        assert got == want, i
+        want = {cs for cs in listing if is_invariant(g, Poly(level, cs))}
+        trivial = mat.is_scalar() and all(level.frob(x, i) == x for x in range(level.size))
+        if not complete and trivial:
+            continue  # every one of the Q**k monic polynomials is fixed
+        got = invariants._fixed_points(level, g, k)
+        assert len(set(got)) == len(got), i
+        if complete:
+            assert set(got) == want, i
+            irreducible = sorted(
+                (Poly(level, cs) for cs in want if is_irreducible(Poly(level, cs))),
+                key=Poly.lex_key,
+            )
+            assert list(invariants._fixed_by_solving(level, g, k)) == irreducible, i
+        else:
+            assert want <= set(got), i
+            assert all(is_invariant(g, Poly(level, cs)) for cs in got), i
+
+
+def test_census_of_a_nontrivial_element_lists_nothing(monkeypatch, t212):
+    def refuse(level, k):
+        raise AssertionError("the census listed the irreducibles")
+
+    monkeypatch.setattr(polyring, "monic_irreducibles", refuse)
+    for g in (
+        Semilinear(Mat2(t212, 0, 1, 1, 0), 1),
+        Semilinear(Mat2(t212, 0, 1, 1, 0), 2),
+        Semilinear(Mat2(t212, 1, 1, 0, 1), 1),
+        Semilinear(Mat2.identity(t212), 1),
+        Semilinear(Mat2(t212, 2, 0, 0, 2), 1),
+    ):
+        census(g, [1, 2, 3, 4, 5])
+    # the trivial action is the one census that lists
+    with pytest.raises(AssertionError):
+        census(Semilinear.identity(t212), [3])
+
+
+@pytest.mark.parametrize("params, k", [((2, 1, 3), 5), ((3, 1, 2), 4)])
+def test_census_matches_a_filter_over_every_irreducible(params, k):
+    tower = gm.build_tower(*params)
+    rng = random.Random(sum(params) * k)
+    for _ in range(3):
+        g = random_semilinear(tower, rng)
+        want = [f for f in iter_monic_irreducibles(tower.top, k) if is_invariant(g, f)]
+        assert list(census(g, [k]).entries[0].polynomials) == want
 
 
 def test_scrim_counts_agree():

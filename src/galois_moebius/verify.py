@@ -212,7 +212,7 @@ def _suite_census(seed: int) -> list[CheckResult]:
     results = []
     # degree 5 at q=3 is left to the test battery: the census of the
     # trivial action lists and re-verifies all 11808 irreducibles there,
-    # about 2 s, more than the rest of the suite
+    # which costs more than the rest of the suite together
     cases = [(2, 1, 2, (3, 4, 5, 6)), (3, 1, 2, (3, 4))]
     for p, e, n, degrees in cases:
         tower = build_tower(p, e, n)

@@ -14,10 +14,14 @@
   degree about q**s + 1 whose degree-k irreducible factors are exactly the
   fixed polynomials of degree k = D*s, so factoring those recovers the
   invariant set without scanning.
-* counting formulas for the two classical families: conjugate
-  self-reciprocal polynomials over F_(q**2) (fixed by the inverting matrix
-  [[0,1],[1,0]] with one Frobenius twist) and plain self-reciprocal
-  polynomials over F_q.
+* counting formulas and listings for the two classical families:
+  conjugate self-reciprocal polynomials over F_(q**2) (fixed by the
+  inverting matrix [[0,1],[1,0]] with one Frobenius twist) and plain
+  self-reciprocal polynomials over F_q.  Neither listing scans
+  candidates: the first family is the Moebius image, under a Cayley
+  matrix, of the irreducibles over F_q that the sieve lists, and the
+  second is tested only on the images x**m * g(x + 1/x) of the
+  irreducibles g of half the degree.
 * structural cross-checks: lift_check ties invariance over the top field
   to a norm polynomial living over the middle field, and
   involution_ratio_check verifies the 2:1 count relation between the
@@ -210,7 +214,12 @@ def enumerate_invariants(
 ) -> tuple[Poly, ...]:
     """All monic irreducible polynomials of the given degree (> 2, with
     degree/D > 2) fixed by g, found by factoring twisted fixing
-    polynomials rather than scanning."""
+    polynomials rather than scanning.
+
+    An element that is projectively a pure Frobenius sigma_t fixes the
+    irreducibles with coefficients in the index-t subfield.  For t = 1
+    and t = n that subfield is a tower level whose irreducibles the sieve
+    lists; for 1 < t < n they are scanned candidate by candidate."""
     g = _as_semilinear(g)
     plan = plan_enumeration(g, degree, cap=cap)
     if not plan.feasible:
@@ -220,8 +229,14 @@ def enumerate_invariants(
     if plan.pure_frobenius:
         # the element generates the same group as sigma_t alone, so the
         # fixed polynomials are exactly the irreducibles with coefficients
-        # in the index-t subfield (scanned in lex order); no fixing
-        # polynomial is needed
+        # in the index-t subfield; no fixing polynomial is needed.  The
+        # subfields of index 1 and n are tower levels, listed by sieve;
+        # mid codes are the top codes below q, and their lex keys order
+        # them alike on both levels.  Any other subfield is scanned
+        n = g.tower.n
+        if t in (1, n):
+            sub = level if t == n else g.tower.mid
+            return tuple(Poly(level, cs) for cs in polyring.monic_irreducibles(sub, degree))
         subfield = [a for a in level.elements_lex() if level.frob(a, t) == a]
         return tuple(
             Poly(level, cs) for cs in polyring._irreducible_scan(level, degree, subfield)
@@ -553,13 +568,17 @@ def is_srim(f: Poly) -> bool:
     return reciprocal(f) == f and is_irreducible(f)
 
 
+def _check_scrim_args(tower: FieldTower, degree: int):
+    if tower.n != 2:
+        raise DomainError("this family lives over the top of a quadratic tower")
+    _check_odd_degree(degree)
+
+
 def _scrim_irreducibles(tower: FieldTower, degree: int):
     """Yield the irreducibles among the monic candidates satisfying the
     coefficient symmetry c_(k-i) = c_0 * c_i**q with c_0**(q+1) = 1, in
     lexicographic order; the symmetry makes them the whole family."""
-    if tower.n != 2:
-        raise DomainError("this family lives over the top of a quadratic tower")
-    _check_odd_degree(degree)
+    _check_scrim_args(tower, degree)
     top = tower.top
     q = tower.q
     m = (degree - 1) // 2
@@ -573,17 +592,45 @@ def _scrim_irreducibles(tower: FieldTower, degree: int):
                 yield Poly(top, coeffs)
 
 
+def _cayley(tower: FieldTower) -> Mat2:
+    """h = [[1, w], [1, w**q]], w the top generator over the middle field
+    (code q).  On a quadratic tower h * [[0,1],[1,0]] sigma * h**-1 is
+    the pure Frobenius [I, sigma], so h**-1 maps the polynomials fixed by
+    sigma alone onto the conjugate self-reciprocal family."""
+    w = tower.q
+    return Mat2(tower, 1, w, 1, tower.frobenius(w, 1))
+
+
 def scrim_polynomials(tower: FieldTower, degree: int) -> tuple[Poly, ...]:
     """All conjugate self-reciprocal monic irreducibles of the given odd
-    degree over the tower top F_(q**2), in lexicographic order."""
-    return tuple(_scrim_irreducibles(tower, degree))
+    degree over the tower top F_(q**2), in lexicographic order.
+
+    The family is the fixed set of [[0,1],[1,0]] sigma, which the Cayley
+    matrix h conjugates to [I, sigma]; so it is h**-1 applied to the
+    monic irreducibles over F_q, which the sieve lists (an odd degree
+    stays irreducible over F_(q**2)).  A Moebius image of an irreducible
+    of degree >= 2 is irreducible of the same degree, so no candidate is
+    tested: each image is one product with the substitution table of
+    h**-1, made monic."""
+    _check_scrim_args(tower, degree)
+    top = tower.top
+    add, mul, inv = top.add, top.mul, top.inv
+    T = _substitution_rows(top, _cayley(tower).inv(), degree)
+    out = []
+    for tail in polyring._sieve(tower.mid, degree):
+        cs = (*tail, 1)
+        image = [reduce(add, map(mul, row, cs)) for row in T]
+        lead = inv(image[-1])
+        out.append(Poly(top, [mul(lead, c) for c in image]))
+    return tuple(sorted(out, key=Poly.lex_key))
 
 
 def construct_scrim(tower: FieldTower, degree: int) -> tuple[Poly, Poly]:
     """The lexicographically smallest member of the family together with
     its coefficientwise conjugate.  The two are distinct (odd degree), are
     each other's sigma_1 images, and multiply to a self-reciprocal
-    irreducible of doubled degree over the middle field."""
+    irreducible of doubled degree over the middle field.  Found by the
+    lexicographic scan, which stops at the first hit."""
     for f in _scrim_irreducibles(tower, degree):
         return f, frobenius_poly(f, 1)
     raise NotFound("no conjugate self-reciprocal irreducible of this degree")
@@ -591,18 +638,31 @@ def construct_scrim(tower: FieldTower, degree: int) -> tuple[Poly, Poly]:
 
 def srim_polynomials(level: Level, degree: int) -> tuple[Poly, ...]:
     """All self-reciprocal monic irreducibles of the given even degree
-    over the level, in lexicographic order.  Palindromic coefficients and
-    constant term 1 are forced for irreducibles, so only those candidates
-    are scanned."""
+    2m over the level, in lexicographic order.
+
+    An irreducible of degree > 1 that is self-reciprocal is palindromic
+    with constant term 1, and every such f is x**m * g(x + 1/x) for
+    exactly one monic g of degree m; a factorization of g gives one of
+    f.  So only the images of the monic irreducibles g, listed by sieve,
+    are tested."""
     if degree < 2 or degree % 2:
         raise EvenDegree("self-reciprocal irreducibles of degree > 1 have even degree")
     m = degree // 2
+    add, mul = level.add, level.mul
+    # row j: x**(m - j) * (x**2 + 1)**j, whose coefficients lie in F_p
+    rows, power = [], [1]
+    for j in range(m + 1):
+        rows.append([0] * (m - j) + power + [0] * (m - j))
+        power = level.poly_mul(power, [1, 0, 1])
     out = []
-    for frees in itertools.product(level.elements_lex(), repeat=m):
-        coeffs = [1, *frees, *reversed(frees[:-1]), 1]
-        if polyring._irreducible(level, list(coeffs)):
-            out.append(Poly(level, coeffs))
-    return tuple(out)
+    for tail in polyring._sieve(level, m):
+        f = [0] * (degree + 1)
+        for gj, row in zip((*tail, 1), rows):
+            if gj:
+                f = [add(a, mul(gj, b)) for a, b in zip(f, row)]
+        if polyring._irreducible(level, f):
+            out.append(Poly(level, f))
+    return tuple(sorted(out, key=Poly.lex_key))
 
 
 # --- structural cross-checks ------------------------------------------

@@ -718,7 +718,13 @@ def count_irreducibles(field_size: int, k: int) -> int:
 def _irreducible_scan(level, k: int, coeffs):
     """Yield the monic irreducibles of degree k whose lower coefficients
     all come from coeffs, as coefficient lists with the leading 1.  With
-    coeffs in lexicographic order the output is in lexicographic order."""
+    coeffs in lexicographic order the output is in lexicographic order.
+
+    One Ben-Or test per candidate, so it serves only where a listing is
+    not wanted or not at hand: gftower.first_irreducible, which stops at
+    the first hit, and the pure-Frobenius branch of
+    invariants.enumerate_invariants for a subfield of index 1 < t < n,
+    which is no tower level."""
     for tail in itertools.product(coeffs, repeat=k):
         if k >= 2 and not tail[0]:
             continue

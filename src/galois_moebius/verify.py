@@ -275,8 +275,9 @@ def _suite_formulas(seed: int) -> list[CheckResult]:
         )
     )
 
-    # family scans stay under ~20k candidate polynomials per field; the
-    # larger degrees are covered by the count formulas in `pairs` above
+    # every listed member is re-tested one by one (is_scrim, is_invariant,
+    # the census), so the degrees stay small; the larger degrees are
+    # covered by the count formulas in `pairs` above
     scan_cases = ((2, 1, (3, 5, 7)), (3, 1, (3,)), (2, 2, (3,)))
     for p, e, degrees in scan_cases:
         tower = build_tower(p, e, 2)

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -315,6 +316,136 @@ def test_srim_scan(t212):
     assert not is_srim(Poly(f2, [1, 1, 0, 1]))
     with pytest.raises(EvenDegree):
         srim_polynomials(f2, 5)
+
+
+# quadratic towers with default and non-default moduli, q = 2 .. 9
+QUADRATIC_TOWERS = [
+    ((2, 1, 2), {}),
+    ((3, 1, 2), {}),
+    ((3, 1, 2), {"h": (2, 1, 1)}),
+    ((2, 2, 2), {"g": (1, 1, 1)}),
+    ((2, 2, 2), {"h": (2, 1, 1)}),
+    ((5, 1, 2), {}),
+    ((7, 1, 2), {}),
+    ((2, 3, 2), {}),
+    ((2, 3, 2), {"g": (1, 1, 0, 1)}),
+    ((3, 2, 2), {}),
+    ((3, 2, 2), {"g": (2, 1, 1)}),
+]
+
+
+def _tower_id(spec):
+    args, kw = spec
+    return "-".join(map(str, args)) + "".join(f"-{k}{''.join(map(str, v))}" for k, v in kw.items())
+
+
+@pytest.mark.parametrize("spec", QUADRATIC_TOWERS, ids=_tower_id)
+def test_cayley_conjugates_the_swap_to_the_pure_frobenius(spec):
+    tower = gm.build_tower(*spec[0], **spec[1])
+    h = Semilinear(invariants._cayley(tower), 2)
+    conj = h * Semilinear(Mat2(tower, 0, 1, 1, 0), 1) * h.inverse()
+    assert conj.frob == 1
+    assert conj.mat.proj_eq(Mat2.identity(tower))
+
+
+@pytest.mark.parametrize(
+    "spec, degree",
+    [(spec, 3) for spec in QUADRATIC_TOWERS]
+    + [(spec, 5) for spec in QUADRATIC_TOWERS if spec[1] or spec[0][:2] in ((2, 1), (5, 1), (7, 1))],
+    ids=lambda v: _tower_id(v) if isinstance(v, tuple) else f"k{v}",
+)
+def test_scrim_listing_matches_the_symmetric_scan(spec, degree):
+    tower = gm.build_tower(*spec[0], **spec[1])
+    fam = scrim_polynomials(tower, degree)
+    if tower.q <= 5:
+        assert fam == tuple(invariants._scrim_irreducibles(tower, degree))
+        return
+    # the scan takes seconds here: check the count, the strict order, the
+    # symmetry of every member and the irreducibility of a sample
+    assert len(fam) == scrim_count(tower.q, degree)
+    keys = [f.lex_key() for f in fam]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert all(f.is_monic and conjugate_reciprocal(f) == f for f in fam)
+    assert all(is_irreducible(f) for f in random.Random(5).sample(fam, 60))
+    assert construct_scrim(tower, degree)[0] == fam[0]
+
+
+def test_scrim_listing_at_benchmark_scale(t312):
+    fam = scrim_polynomials(t312, 9)
+    assert len(fam) == scrim_count(3, 9) == 2184
+    keys = [f.lex_key() for f in fam]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert all(is_scrim(f) for f in fam)
+
+
+def _palindromic_scan(level, degree):
+    m = degree // 2
+    out = []
+    for frees in itertools.product(level.elements_lex(), repeat=m):
+        coeffs = [1, *frees, *reversed(frees[:-1]), 1]
+        if polyring._irreducible(level, coeffs):
+            out.append(Poly(level, coeffs))
+    return tuple(out)
+
+
+SRIM_CASES = [
+    (((2, 1, 2), {}), "mid", (2, 4, 6, 8, 10, 12)),
+    (((2, 1, 2), {}), "top", (2, 4, 6)),
+    (((3, 1, 2), {}), "mid", (2, 4, 6, 8)),
+    (((3, 1, 2), {"h": (2, 1, 1)}), "top", (2, 4)),
+    (((2, 2, 2), {"g": (1, 1, 1)}), "mid", (2, 4, 6)),
+    (((5, 1, 2), {}), "mid", (2, 4, 6)),
+    (((2, 3, 2), {"g": (1, 1, 0, 1)}), "mid", (2, 4)),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, level_name, degrees",
+    SRIM_CASES,
+    ids=[f"{_tower_id(spec)}-{name}" for spec, name, _ in SRIM_CASES],
+)
+def test_srim_listing_matches_the_palindromic_scan(spec, level_name, degrees):
+    level = getattr(gm.build_tower(*spec[0], **spec[1]), level_name)
+    for k in degrees:
+        assert srim_polynomials(level, k) == _palindromic_scan(level, k)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ((2, 1, 2), {}),
+        ((3, 1, 2), {"h": (2, 1, 1)}),
+        ((2, 2, 2), {"g": (1, 1, 1)}),
+        ((2, 2, 2), {"h": (2, 1, 1)}),
+        ((2, 1, 3), {}),
+        ((2, 1, 4), {}),
+    ],
+    ids=_tower_id,
+)
+def test_pure_frobenius_enumeration_matches_the_subfield_scan(monkeypatch, spec):
+    tower = gm.build_tower(*spec[0], **spec[1])
+    top = tower.top
+    scan = polyring._irreducible_scan
+
+    def refuse(*args):
+        raise AssertionError("a tower level was scanned candidate by candidate")
+
+    scalar = top.elements_lex()[-1]  # projectively the identity
+    checked = 0
+    for t in gm.divisors(tower.n):
+        subfield = [a for a in top.elements_lex() if top.frob(a, t) == a]
+        for k in (3, 4, 5):
+            if gcd(k, tower.n // t) != 1 or len(subfield) ** k > 5000:
+                continue
+            want = tuple(Poly(top, cs) for cs in scan(top, k, subfield))
+            g = Semilinear(Mat2(tower, scalar, 0, 0, scalar), t)
+            if t in (1, tower.n):
+                # the index-t subfield is a tower level: listed by sieve
+                monkeypatch.setattr(polyring, "_irreducible_scan", refuse)
+            assert enumerate_invariants(g, k) == want
+            monkeypatch.undo()
+            checked += 1
+    assert checked
 
 
 def test_lift_check_consistency(t222):

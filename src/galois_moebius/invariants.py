@@ -125,6 +125,8 @@ def admissible_shifts(s: int, span: int, factor_order: int) -> tuple[int, ...]:
     """The shift residues r whose twisted fixing polynomial can carry
     degree factor_order*s invariants: span*r = 1 (mod s) with the
     cofactor (span*r - 1)/s coprime to factor_order."""
+    if not isinstance(s, int):
+        raise DomainError(f"degree scale must be an int, got {s!r}")
     D = factor_order
     return tuple(
         r
@@ -155,6 +157,8 @@ def plan_enumeration(g, degree: int, cap: int | None = DEFAULT_ENUM_CAP) -> Enum
     g = _as_semilinear(g)
     tower = g.tower
     n = tower.n
+    if not isinstance(degree, int):
+        raise DomainError(f"degree must be an int, got {degree!r}")
     if degree <= 2:
         raise DegreeTooSmall(
             "enumeration covers degrees > 2 only; use the census for 1 and 2"
@@ -192,8 +196,8 @@ def plan_enumeration(g, degree: int, cap: int | None = DEFAULT_ENUM_CAP) -> Enum
     if gcd(s, span) != 1:
         return plan(s, (), (), False, f"degree/{D} = {s} shares a factor with {span}")
     if cap is not None:
-        # for a pure Frobenius element the cost driver is the scan over
-        # index-t subfield coefficients, not a fixing polynomial
+        # for a pure Frobenius element the cost is the sieve's one flag
+        # per candidate over the index-t subfield, not a fixing polynomial
         work = base_power**s if pure else base_power**s + 1
         if work > cap:
             raise DegreeTooLarge(
@@ -217,9 +221,8 @@ def enumerate_invariants(
     polynomials rather than scanning.
 
     An element that is projectively a pure Frobenius sigma_t fixes the
-    irreducibles with coefficients in the index-t subfield.  For t = 1
-    and t = n that subfield is a tower level whose irreducibles the sieve
-    lists; for 1 < t < n they are scanned candidate by candidate."""
+    irreducibles with coefficients in the index-t subfield, which the
+    sieve lists over that subfield's codes."""
     g = _as_semilinear(g)
     plan = plan_enumeration(g, degree, cap=cap)
     if not plan.feasible:
@@ -228,19 +231,11 @@ def enumerate_invariants(
     t, s = plan.frob_index, plan.s
     if plan.pure_frobenius:
         # the element generates the same group as sigma_t alone, so the
-        # fixed polynomials are exactly the irreducibles with coefficients
-        # in the index-t subfield; no fixing polynomial is needed.  The
-        # subfields of index 1 and n are tower levels, listed by sieve;
-        # mid codes are the top codes below q, and their lex keys order
-        # them alike on both levels.  Any other subfield is scanned
-        n = g.tower.n
-        if t in (1, n):
-            sub = level if t == n else g.tower.mid
-            return tuple(Poly(level, cs) for cs in polyring.monic_irreducibles(sub, degree))
+        # fixed polynomials are exactly the irreducibles over the index-t
+        # subfield (the plan keeps degree coprime to n/t, so they stay
+        # irreducible over the top); no fixing polynomial is needed
         subfield = [a for a in level.elements_lex() if level.frob(a, t) == a]
-        return tuple(
-            Poly(level, cs) for cs in polyring._irreducible_scan(level, degree, subfield)
-        )
+        return tuple(Poly(level, (*tail, 1)) for tail in polyring._sieve(level, degree, subfield))
     rng = random.Random(seed)
     found: dict[tuple[int, ...], Poly] = {}
     for j in plan.twists:
@@ -505,8 +500,8 @@ def census(
 
 
 def _check_odd_degree(n: int):
-    if n < 0:
-        raise DomainError("degree must be positive")
+    if not isinstance(n, int) or n < 0:
+        raise DomainError(f"degree must be an int >= 0, got {n!r}")
     if n % 2 == 0:
         raise EvenDegree(f"degree {n} is even; this family needs odd degrees")
     if n < 3:
@@ -540,6 +535,8 @@ def srim_count(q: int, m: int) -> int:
     for odd m >= 3.  Exactly half the conjugate self-reciprocal count of
     degree m over F_(q**2)."""
     prime_power_split(q)
+    if not isinstance(m, int):
+        raise DomainError(f"half-degree must be an int, got {m!r}")
     if m % 2 == 0:
         raise EvenParameter(f"half-degree {m} is even; the formula needs odd m")
     if m < 3:
@@ -617,7 +614,7 @@ def scrim_polynomials(tower: FieldTower, degree: int) -> tuple[Poly, ...]:
     add, mul, inv = top.add, top.mul, top.inv
     T = _substitution_rows(top, _cayley(tower).inv(), degree)
     out = []
-    for tail in polyring._sieve(tower.mid, degree):
+    for tail in polyring._sieve(tower.mid, degree, tower.mid.elements_lex()):
         cs = (*tail, 1)
         image = [reduce(add, map(mul, row, cs)) for row in T]
         lead = inv(image[-1])
@@ -645,6 +642,8 @@ def srim_polynomials(level: Level, degree: int) -> tuple[Poly, ...]:
     exactly one monic g of degree m; a factorization of g gives one of
     f.  So only the images of the monic irreducibles g, listed by sieve,
     are tested."""
+    if not isinstance(degree, int):
+        raise DomainError(f"degree must be an int, got {degree!r}")
     if degree < 2 or degree % 2:
         raise EvenDegree("self-reciprocal irreducibles of degree > 1 have even degree")
     m = degree // 2
@@ -655,7 +654,7 @@ def srim_polynomials(level: Level, degree: int) -> tuple[Poly, ...]:
         rows.append([0] * (m - j) + power + [0] * (m - j))
         power = level.poly_mul(power, [1, 0, 1])
     out = []
-    for tail in polyring._sieve(level, m):
+    for tail in polyring._sieve(level, m, level.elements_lex()):
         f = [0] * (degree + 1)
         for gj, row in zip((*tail, 1), rows):
             if gj:
@@ -821,7 +820,9 @@ def asymptotic_report(
     D = proj_order((reduced**span).mat)
     points = []
     for s in s_values:
-        degree = D * int(s)
+        if not isinstance(s, int):
+            raise DomainError(f"degree scales must be ints, got {s!r}")
+        degree = D * s
         plan = plan_enumeration(g, degree, cap=cap)
         if not plan.feasible:
             raise DomainError(f"scale s={s} is infeasible here: {plan.reason}")

@@ -525,8 +525,12 @@ def _factor(level, f, seed=0):
 
 
 def _coeffs_lex_key(level, coeffs):
-    key = level.lex_key
-    return tuple(key(c) for c in coeffs)
+    """The coefficients' Level.lex_key read as one base-Q numeral, constant
+    term most significant: equal lengths compare like the key tuples."""
+    Q, out = level.size, 0
+    for key in map(level.lex_key, coeffs):
+        out = out * Q + key
+    return out
 
 
 def _roots(level, f):
@@ -707,8 +711,8 @@ def count_irreducibles(field_size: int, k: int) -> int:
     the given size, by the divisor sum with the Moebius function.  The
     size must be a prime power (NotPrime otherwise)."""
     prime_power_split(field_size)
-    if k < 1:
-        raise DomainError("degree must be positive")
+    if not isinstance(k, int) or k < 1:
+        raise DomainError(f"degree must be an int >= 1, got {k!r}")
     total = sum(moebius_mu(d) * field_size ** (k // d) for d in divisors(k))
     if total % k:
         raise InternalInvariantError("irreducible count was not an integer")
@@ -719,12 +723,8 @@ def _irreducible_scan(level, k: int, coeffs):
     """Yield the monic irreducibles of degree k whose lower coefficients
     all come from coeffs, as coefficient lists with the leading 1.  With
     coeffs in lexicographic order the output is in lexicographic order.
-
-    One Ben-Or test per candidate, so it serves only where a listing is
-    not wanted or not at hand: gftower.first_irreducible, which stops at
-    the first hit, and the pure-Frobenius branch of
-    invariants.enumerate_invariants for a subfield of index 1 < t < n,
-    which is no tower level."""
+    One Ben-Or test per candidate; it serves gftower.first_irreducible,
+    which stops at the first hit, and the tests, as the sieve's oracle."""
     for tail in itertools.product(coeffs, repeat=k):
         if k >= 2 and not tail[0]:
             continue
@@ -733,26 +733,24 @@ def _irreducible_scan(level, k: int, coeffs):
             yield cand
 
 
-def _sieve(level, k: int):
-    """The monic irreducibles of degree k as tail tuples (c_0, ...,
-    c_(k-1)), in lexicographic order, by crossing out every product f * g
-    of a monic irreducible f of degree d <= k/2 and a monic g of degree
-    k - d.
+def _sieve(level, k: int, coeffs):
+    """The monic irreducibles of degree k over the subfield whose codes
+    are coeffs, in elements_lex order, as tail tuples (c_0, ..., c_(k-1))
+    in lexicographic order, by crossing out every product f * g of a monic
+    irreducible f of degree d <= k/2 (listed by the same sieve) and a
+    monic g of degree k - d, both over the subfield.
 
-    A tail owns one flag, at the index whose base-Q digits are the
-    elements_lex ranks of c_0, ..., c_(k-1), c_0 most significant, so the
-    flags run in the order of itertools.product over elements_lex.  For
+    A tail owns one flag, at the index whose base-Q digits (Q = len(coeffs))
+    are the ranks in coeffs of c_0, ..., c_(k-1), c_0 most significant, so
+    the flags run in the order of itertools.product over coeffs.  For
     k > 1 the tails with c_0 = 0 (multiples of x) are out from the start.
     For each f the products are walked by g's lower coefficients but the
     last: those fix c_0, ..., c_(m-2) (m = k - d) and the base of
     c_(m-1), ..., c_(k-1), and g's last coefficient a then adds a * f_t to
     c_(m-1+t), one column of flag offsets per (t, base) built on first use.
     """
-    Q = level.size
-    lex = level.elements_lex()
-    rank = [0] * Q
-    for r, a in enumerate(lex):
-        rank[a] = r
+    Q = len(coeffs)
+    rank = {a: r for r, a in enumerate(coeffs)}
     alive = bytearray(b"\1") * Q**k
     if k > 1:
         alive[: Q ** (k - 1)] = bytes(Q ** (k - 1))
@@ -760,10 +758,10 @@ def _sieve(level, k: int):
     for d in range(1, k // 2 + 1):
         m = k - d
         head = [Q ** (k - 1 - i) for i in range(m - 1)]
-        for f in monic_irreducibles(level, d):
-            if not f[0]:
+        for tail in _sieve(level, d, coeffs):
+            if not tail[0]:
                 continue  # x, whose multiples are out already
-            scaled = [[mul(a, ft) for a in range(Q)] for ft in f]
+            scaled = [[mul(a, ft) for a in coeffs] for ft in (*tail, 1)]
             columns = {}
 
             def column(t, v):
@@ -774,7 +772,7 @@ def _sieve(level, k: int):
                 return col
 
             for g in itertools.product(range(Q), repeat=m - 1):
-                c = [0] * m + list(f[:d])
+                c = [0] * m + list(tail)
                 for j, gj in enumerate(g):
                     for t in range(d + 1):
                         c[j + t] = add(c[j + t], scaled[t][gj])
@@ -782,7 +780,7 @@ def _sieve(level, k: int):
                 cols = [column(t, c[m - 1 + t]) for t in range(d + 1)]
                 for off in map(sum, zip(*cols)):
                     alive[base + off] = 0
-    return itertools.compress(itertools.product(lex, repeat=k), alive)
+    return itertools.compress(itertools.product(coeffs, repeat=k), alive)
 
 
 def monic_irreducibles(level, k: int) -> tuple[tuple[int, ...], ...]:
@@ -795,7 +793,7 @@ def monic_irreducibles(level, k: int) -> tuple[tuple[int, ...], ...]:
     cache = level._irr_cache
     got = cache.get(k)
     if got is None:
-        got = tuple((*tail, 1) for tail in _sieve(level, k))
+        got = tuple((*tail, 1) for tail in _sieve(level, k, level.elements_lex()))
         cache[k] = got
     return got
 

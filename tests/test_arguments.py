@@ -8,7 +8,19 @@ from hypothesis import given, settings, strategies as st
 import galois_moebius as gm
 from galois_moebius.errors import GaloisMoebiusError
 from galois_moebius.gftower import first_irreducible
-from galois_moebius.invariants import census
+from galois_moebius.invariants import (
+    admissible_shifts,
+    asymptotic_report,
+    census,
+    construct_scrim,
+    enumerate_invariants,
+    plan_enumeration,
+    scrim_count,
+    scrim_count_divisor_sum,
+    scrim_polynomials,
+    srim_count,
+    srim_polynomials,
+)
 from galois_moebius.pgammal import (
     Mat2,
     Semilinear,
@@ -16,12 +28,13 @@ from galois_moebius.pgammal import (
     fixing_polynomial_twisted,
     twisted_product,
 )
-from galois_moebius.polyring import Poly, monic_irreducibles, powmod
+from galois_moebius.polyring import Poly, count_irreducibles, monic_irreducibles, powmod
 
 TOWER = gm.build_tower(2, 1, 2)
 A = Mat2(TOWER, 0, 1, 1, 1)
 F = Poly(TOWER.top, [1, 1])
 M = Poly(TOWER.top, [1, 1, 1])
+SWAP = Semilinear(Mat2(TOWER, 0, 1, 1, 0), 1)
 
 # entry point -> (call with the drawn value, whether None is a valid value)
 CALLS = {
@@ -43,6 +56,17 @@ CALLS = {
     "monic_irreducibles": (lambda v: monic_irreducibles(TOWER.top, v), False),
     "first_irreducible": (lambda v: first_irreducible(TOWER.top, v), False),
     "census": (lambda v: census(Semilinear(A, 1), [v]), False),
+    "enumerate_invariants": (lambda v: enumerate_invariants(SWAP, v), False),
+    "plan_enumeration": (lambda v: plan_enumeration(Semilinear(A, 1), v), False),
+    "asymptotic_report": (lambda v: asymptotic_report(Semilinear(A, 1), [v]), False),
+    "admissible_shifts": (lambda v: admissible_shifts(v, 2, 1), False),
+    "scrim_polynomials": (lambda v: scrim_polynomials(TOWER, v), False),
+    "construct_scrim": (lambda v: construct_scrim(TOWER, v), False),
+    "srim_polynomials": (lambda v: srim_polynomials(TOWER.mid, v), False),
+    "scrim_count": (lambda v: scrim_count(2, v), False),
+    "scrim_count_divisor_sum": (lambda v: scrim_count_divisor_sum(2, v), False),
+    "srim_count": (lambda v: srim_count(2, v), False),
+    "count_irreducibles": (lambda v: count_irreducibles(2, v), False),
 }
 
 VALUES = st.one_of(st.integers(-3, 3), st.floats(), st.text(max_size=2), st.none())

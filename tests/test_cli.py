@@ -73,16 +73,23 @@ def test_invariants_enum(capsys):
 
 
 def test_invariants_pure_frobenius_within_cap(capsys):
-    # [I, sigma] over F_9 at degree 5: the F_3 irreducibles, 3**5 candidates
-    code, out, _ = run(
-        capsys,
-        "invariants", "--p", "3", "--n", "2", "--output", "json",
-        "--matrix", "1;0;0;1", "--frob", "1", "--degree", "5",
-    )
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["params"]["method"] == "enum"
-    assert doc["result"]["count"] == len(doc["result"]["polynomials"]) == 48
+    cases = [
+        # [I, sigma] over F_9 at degree 5: the F_3 irreducibles, 3**5 candidates
+        ("3", "2", "1", "5", 48),
+        # [I, sigma^2] over F_16 at degree 7: the F_4 irreducibles, 4**7
+        # candidates, a subfield that is no tower level
+        ("2", "4", "2", "7", 2340),
+    ]
+    for p, n, frob, degree, count in cases:
+        code, out, _ = run(
+            capsys,
+            "invariants", "--p", p, "--n", n, "--output", "json",
+            "--matrix", "1;0;0;1", "--frob", frob, "--degree", degree,
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["params"]["method"] == "enum"
+        assert doc["result"]["count"] == len(doc["result"]["polynomials"]) == count
 
 
 def test_invariants_census_fallback(capsys):

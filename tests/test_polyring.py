@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -207,6 +208,7 @@ SIEVE_LEVELS = {
     "F16-2.1.4": lambda: gm.build_tower(2, 1, 4).top,
     "F16-2.2.2": lambda: gm.build_tower(2, 2, 2).top,
     "F8-x3+x2+1": lambda: gm.build_tower(2, 1, 3, h=(1, 0, 1, 1)).top,
+    "F64": lambda: gm.build_tower(2, 1, 6).top,
 }
 
 
@@ -220,6 +222,40 @@ def test_monic_irreducibles_sieve_matches_scan(name):
         assert got == want, (name, k)
         assert len(got) == count_irreducibles(level.size, k)
         k += 1
+    # every proper subfield F_(p**j), j | flat_deg, as codes in lex order.
+    # The sieve lists the irreducibles over the subfield, the scan those
+    # over the level: the same set when k is coprime to the index w/j
+    p, w = level.p, level.flat_deg
+    for j in gm.divisors(w)[:-1]:
+        subfield = [a for a in level.elements_lex() if level.pow(a, p**j) == a]
+        assert len(subfield) == p**j
+        k = 1
+        while len(subfield) ** k <= 4096:
+            got = [[*tail, 1] for tail in polyring._sieve(level, k, subfield)]
+            want = list(polyring._irreducible_scan(level, k, subfield))
+            if math.gcd(k, w // j) == 1:
+                assert got == want, (name, j, k)
+            else:
+                assert all(f in got for f in want), (name, j, k)
+            assert len(got) == count_irreducibles(p**j, k)
+            k += 1
+
+
+LEX_LEVELS = [prime_level(5), gm.build_tower(2, 1, 3).top, gm.build_tower(3, 1, 2).top]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    level=st.sampled_from(LEX_LEVELS),
+    draws=st.lists(st.lists(st.integers(0, 1 << 16), min_size=1, max_size=4), max_size=12),
+)
+def test_poly_lex_key_orders_like_the_coefficient_key_tuple(level, draws):
+    polys = [Poly(level, [c % level.size for c in cs]) for cs in draws]
+
+    def tuple_key(f):
+        return (len(f.coeffs), tuple(level.lex_key(c) for c in f.coeffs))
+
+    assert sorted(polys, key=Poly.lex_key) == sorted(polys, key=tuple_key)
 
 
 def test_iter_monic_irreducibles_lex(f9):

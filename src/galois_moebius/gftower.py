@@ -231,6 +231,10 @@ class Level:
     # --- polynomial inner loops ---------------------------------------
 
     def _install_poly_ops(self):
+        # each kind has its own product and one in-place long division of r
+        # by a monic m of degree dm (body = m[:-1]): step i reads r[i] and
+        # writes only below it, so the remainder is left in r[:dm] and the
+        # quotient in r[dm:]
         if self._mul_rows is not None and self.p == 2:
             rows = self._mul_rows
             build = self._build_mul_row
@@ -247,14 +251,7 @@ class Level:
                                 res[i + j] ^= row[b]
                 return res
 
-            def poly_rem_monic(f, m, _rows=rows, _build=build):
-                dm = len(m) - 1
-                r = list(f)
-                while r and not r[-1]:
-                    r.pop()
-                if len(r) - 1 < dm:
-                    return r
-                body = m[:-1]
+            def divide(r, dm, body, _rows=rows, _build=build):
                 for i in range(len(r) - 1, dm - 1, -1):
                     c = r[i]
                     if c:
@@ -265,13 +262,7 @@ class Level:
                         for j, b in enumerate(body):
                             if b:
                                 r[off + j] ^= row[b]
-                del r[dm:]
-                while r and not r[-1]:
-                    r.pop()
-                return r
 
-            self.poly_mul = poly_mul
-            self.poly_rem_monic = poly_rem_monic
         elif self._mul_rows is not None and self._add_rows is not None:
             mrows, arows = self._mul_rows, self._add_rows
             mbuild, abuild = self._build_mul_row, self._build_add_row
@@ -297,14 +288,7 @@ class Level:
                                     res[i + j] = t
                 return res
 
-            def poly_rem_monic(f, m):
-                dm = len(m) - 1
-                r = list(f)
-                while r and not r[-1]:
-                    r.pop()
-                if len(r) - 1 < dm:
-                    return r
-                body = m[:-1]
+            def divide(r, dm, body):
                 for i in range(len(r) - 1, dm - 1, -1):
                     c = r[i]
                     if c:
@@ -324,13 +308,7 @@ class Level:
                                     r[off + j] = arow[t]
                                 else:
                                     r[off + j] = t
-                del r[dm:]
-                while r and not r[-1]:
-                    r.pop()
-                return r
 
-            self.poly_mul = poly_mul
-            self.poly_rem_monic = poly_rem_monic
         else:
             add, mul = self.add, self.mul
             sub = self.sub
@@ -344,14 +322,7 @@ class Level:
                                 res[i + j] = add(res[i + j], mul(a, b))
                 return res
 
-            def poly_rem_monic(f, m):
-                dm = len(m) - 1
-                r = list(f)
-                while r and not r[-1]:
-                    r.pop()
-                if len(r) - 1 < dm:
-                    return r
-                body = m[:-1]
+            def divide(r, dm, body):
                 for i in range(len(r) - 1, dm - 1, -1):
                     c = r[i]
                     if c:
@@ -359,13 +330,33 @@ class Level:
                         for j, b in enumerate(body):
                             if b:
                                 r[off + j] = sub(r[off + j], mul(c, b))
+
+        def poly_divmod_monic(f, m):
+            dm = len(m) - 1
+            r = polyring._trim(list(f))
+            if len(r) <= dm:
+                return [], r
+            divide(r, dm, m[:-1])
+            q = r[dm:]
+            del r[dm:]
+            return q, polyring._trim(r)
+
+        def poly_rem_monic(f, m):
+            # the hot path of gcds and short moduli: trims inline
+            dm = len(m) - 1
+            r = list(f)
+            while r and not r[-1]:
+                r.pop()
+            if len(r) > dm:
+                divide(r, dm, m[:-1])
                 del r[dm:]
                 while r and not r[-1]:
                     r.pop()
-                return r
+            return r
 
-            self.poly_mul = poly_mul
-            self.poly_rem_monic = poly_rem_monic
+        self.poly_mul = poly_mul
+        self.poly_rem_monic = poly_rem_monic
+        self.poly_divmod_monic = poly_divmod_monic
 
     def __repr__(self):
         return f"<Level GF({self.size})>"
@@ -694,10 +685,10 @@ class FieldTower:
     def extension_embedding(self, k: int) -> TowerEmbedding:
         """Embedding of this tower's top into the degree n*k tower top,
         built on demand and cached.  Splitting field for degree-k polys."""
+        if not isinstance(k, int) or k < 1:
+            raise DomainError(f"extension index must be an int >= 1, got {k!r}")
         emb = self._embeddings.get(k)
         if emb is None:
-            if k < 1:
-                raise DomainError("extension index must be >= 1")
             aux = build_tower(self.p, self.e, self.n * k, g=self.g)
             rts = polyring._roots(aux.top, list(self.h))
             if not rts:
@@ -729,6 +720,8 @@ def build_tower(p: int, e: int, n: int, g=None, h=None) -> FieldTower:
     """Construct (or fetch from the intern cache) the tower F_p <= F_(p**e)
     <= F_(p**(e*n)).  Moduli g (degree e over F_p) and h (degree n over
     F_q) default to the lexicographically smallest irreducible choices."""
+    if not all(isinstance(v, int) for v in (p, e, n)):
+        raise DomainError(f"p, e and n must be ints, got {(p, e, n)!r}")
     if e < 1 or n < 1:
         raise DomainError("extension degrees must be >= 1")
     bottom = prime_level(p)
@@ -764,6 +757,8 @@ def subfield_degree(a: FieldElement) -> int:
 def multiplicative_order(level: Level, x: int, divisor_of: int | None = None) -> int:
     """Order of x in the multiplicative group; divisor_of, when given, must
     be a known multiple of the order (checked)."""
+    if not isinstance(x, int) or not 0 <= x < level.size:
+        raise DomainError(f"element code {x!r} out of range for {level!r}")
     if not x:
         raise DivisionByZero("zero has no multiplicative order")
     o = divisor_of if divisor_of is not None else level.size - 1

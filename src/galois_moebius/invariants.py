@@ -58,10 +58,12 @@ from .numtheory import divisors, euler_phi, moebius_mu, prime_power_split
 from .pgammal import (
     Mat2,
     Semilinear,
+    _linear_powers,
     fixing_polynomial_twisted,
     moebius_act,
     proj_order,
     reduce_frobenius_index,
+    twisted_product,
 )
 from .polyring import Poly, frobenius_poly, is_irreducible, reciprocal
 
@@ -159,6 +161,8 @@ def plan_enumeration(g, degree: int, cap: int | None = DEFAULT_ENUM_CAP) -> Enum
     n = tower.n
     if not isinstance(degree, int):
         raise DomainError(f"degree must be an int, got {degree!r}")
+    if cap is not None and not isinstance(cap, int):
+        raise DomainError(f"cap must be an int or None, got {cap!r}")
     if degree <= 2:
         raise DegreeTooSmall(
             "enumeration covers degrees > 2 only; use the census for 1 and 2"
@@ -297,13 +301,7 @@ def _substitution_rows(level, mat: Mat2, k: int):
     """T[i][j], the x**i coefficient of (a*x + b)**j * (c*x + d)**(k - j),
     so that the action's image of a degree-k polynomial with coefficients
     c_j has x**i coefficient sum(T[i][j] * c_j)."""
-    a, b, c, d = mat.entries
-    num = polyring._trim([b, a])
-    den = polyring._trim([d, c])
-    npow, dpow = [[1]], [[1]]
-    for _ in range(k):
-        npow.append(level.poly_mul(npow[-1], num))
-        dpow.append(level.poly_mul(dpow[-1], den))
+    npow, dpow = _linear_powers(level, mat, k)
     rows = [[0] * (k + 1) for _ in range(k + 1)]
     for j in range(k + 1):
         for i, t in enumerate(level.poly_mul(npow[j], dpow[k - j])):
@@ -362,7 +360,11 @@ def _fixed_points(level, g: Semilinear, k: int):
     the equation m times gives P * f = N(L) * f, where
     P = T * sigma(T) * ... * sigma**(m-1)(T) and N(L) is the product of
     the sigma**j(L), j < m, so N(L) must be an eigenvalue of P with a
-    monic eigenvector."""
+    monic eigenvector.  Tables reverse products, so P is the table of the
+    twisted product B = sigma**(m-1)(A) * ... * sigma(A) * A, and its
+    eigenvalues are the mu1**j * mu2**(k - j), mu1 and mu2 those of B:
+    at most k + 1 values of N are checked, and when sigma is trivial on
+    the level no other L is tried."""
     p, w = level.p, level.flat_deg
     mul, add, sub, frob, idx = level.mul, level.add, level.sub, level.frob, g.frob
     T = _substitution_rows(level, g.mat, k)
@@ -370,16 +372,25 @@ def _fixed_points(level, g: Semilinear, k: int):
     m = 1
     while any(frob(e, m * idx) != e for e in unit):
         m += 1
-    P = T
-    for j in range(1, m):
-        twisted = [[frob(x, j * idx) for x in row] for row in T]
-        P = [[reduce(add, map(mul, row, col)) for col in zip(*twisted)] for row in P]
+    B = twisted_product(g.mat, m, idx)
+    P = _substitution_rows(level, B, k)
+    a, b, c, d = B.entries
+    det = sub(mul(a, d), mul(b, c))
+    mu = polyring._roots(level, [det, level.neg(add(a, d)), 1])
+    if mu:
+        eigen = {mul(level.pow(mu[0], j), level.pow(mu[-1], k - j)) for j in range(k + 1)}
+    else:
+        # conjugate eigenvalues in F_(Q**2): a product in F_Q equals its
+        # conjugate, so it squares to det**k
+        eigen = set(polyring._roots(level, [level.neg(level.pow(det, k)), 0, 1]))
     fibres = {}
-    for L in range(1, level.size):
+    # with sigma trivial on the level N(L) = L: only the eigenvalues can pass
+    for L in eigen if m == 1 else range(1, level.size):
         N = L
         for j in range(1, m):
             N = mul(N, frob(L, j * idx))
-        fibres.setdefault(N, []).append(L)
+        if N in eigen:
+            fibres.setdefault(N, []).append(L)
 
     def has_monic_eigenvector(N):
         rows = [[sub(x, N) if i == j else x for j, x in enumerate(row)] for i, row in enumerate(P)]
@@ -463,6 +474,10 @@ def census(
     g = _as_semilinear(g)
     if level is None:
         level = g.tower.top
+    if not isinstance(budget, int):
+        raise DomainError(f"budget must be an int, got {budget!r}")
+    if isinstance(degrees, str) or not hasattr(degrees, "__iter__"):
+        raise DomainError(f"census degrees must be a list of ints, got {degrees!r}")
     degrees = list(degrees)
     if not all(isinstance(k, int) and k >= 1 for k in degrees):
         raise DomainError(f"census degrees must be ints >= 1, got {degrees!r}")
@@ -785,6 +800,8 @@ def involution_ratio_check(
     if not mat.is_involution():
         raise NotInvolution("the matrix must have projective order 2")
     m = half_degree
+    if not isinstance(m, int):
+        raise DomainError(f"half-degree must be an int, got {m!r}")
     if m % 2 == 0:
         raise EvenParameter(f"half-degree {m} is even; the relation needs odd m")
     if m < 3:

@@ -237,6 +237,18 @@ class Semilinear:
         return f"Semilinear<{self.mat.to_text()} | frob={self.frob}>"
 
 
+def _linear_powers(level, mat: Mat2, k: int):
+    """The powers (a*x + b)**j and (c*x + d)**j for j = 0..k, two lists."""
+    a, b, c, d = mat.entries
+    num = polyring._trim([b, a])
+    den = polyring._trim([d, c])
+    npow, dpow = [[1]], [[1]]
+    for _ in range(k):
+        npow.append(level.poly_mul(npow[-1], num))
+        dpow.append(level.poly_mul(dpow[-1], den))
+    return npow, dpow
+
+
 def moebius_act(mat: Mat2, f: Poly, strict: bool = True) -> Poly | None:
     """Fractional linear substitution, monic result.
 
@@ -251,13 +263,7 @@ def moebius_act(mat: Mat2, f: Poly, strict: bool = True) -> Poly | None:
     k = f.degree
     if k < 1:
         raise DegreeTooSmall("the action needs degree >= 1")
-    num = polyring._trim([b, a])
-    den = polyring._trim([d, c])
-    npow = [[1]]
-    dpow = [[1]]
-    for _ in range(k):
-        npow.append(level.poly_mul(npow[-1], num))
-        dpow.append(level.poly_mul(dpow[-1], den))
+    npow, dpow = _linear_powers(level, mat, k)
     acc = [0] * (k + 1)
     mul, add = level.mul, level.add
     for j, cj in enumerate(f.coeffs):
@@ -381,6 +387,8 @@ def fixing_polynomial(mat: Mat2, m: int, step: int = 1, cap: int | None = None) 
     mat . alpha**(q**(step*m)) = alpha under the fractional linear action,
     which is what ties its irreducible factors to invariant polynomials."""
     _check_counts(m=m, step=step)
+    if cap is not None and not isinstance(cap, int):
+        raise DomainError(f"cap must be an int or None, got {cap!r}")
     tower = mat.tower
     E = tower.q ** (step * m)
     if cap is not None and E + 1 > cap:

@@ -22,10 +22,12 @@ the product (Kronecker substitution), and a Barrett remainder with a
 precomputed inverse of the reversed modulus reduces it.
 The level's packing tables are built on the first such product, and
 levels whose tables would exceed _TABLE_CAP entries keep schoolbook.
-Everything else stays schoolbook, on the level's own poly_mul and
-poly_rem_monic: short moduli (a census never gets near the cut-over, and
-there a packed product costs more than it saves), gcds (Euclid's
-quotients are short) and exact divisions.
+Everything else stays schoolbook, on the level's own poly_mul and its
+long division loop: short moduli (a census never gets near the cut-over,
+and there a packed product costs more than it saves) and gcds through
+poly_rem_monic, and the exact divisions of the squarefree, distinct- and
+equal-degree stages through poly_divmod_monic, which hands back the
+quotient the loop leaves behind.
 """
 
 from __future__ import annotations
@@ -83,22 +85,10 @@ def _divmod(level, f, g):
     g = _trim(list(g))
     if not g:
         raise DivisionByZero("polynomial division by zero")
-    f = _trim(list(f))
-    df, dg = len(f) - 1, len(g) - 1
-    if df < dg:
-        return [], f
-    inv_lc = level.inv(g[-1])
-    mul, sub = level.mul, level.sub
-    r = list(f)
-    q = [0] * (df - dg + 1)
-    for i in range(df, dg - 1, -1):
-        c = r[i]
-        if c:
-            c = mul(c, inv_lc)
-            q[i - dg] = c
-            for j in range(dg + 1):
-                r[i - dg + j] = sub(r[i - dg + j], mul(c, g[j]))
-    return _trim(q), _trim(r)
+    q, r = level.poly_divmod_monic(f, _monic(level, g))
+    if g[-1] != 1:
+        q = level.poly_mul(q, [level.inv(g[-1])])
+    return q, r
 
 
 def _exact_div(level, f, g):

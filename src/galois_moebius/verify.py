@@ -235,8 +235,9 @@ def _suite_census(seed: int) -> list[CheckResult]:
                 total += 1
                 scan = census(g, [k]).entries[0].polynomials
                 if plan.feasible:
+                    # both come sorted by Poly.lex_key
                     fast = enumerate_invariants(g, k)
-                    if list(fast) == sorted(scan):
+                    if fast == scan:
                         agree += 1
                 else:
                     # the shape arithmetic promises emptiness; hold it to that
@@ -290,12 +291,13 @@ def _suite_formulas(seed: int) -> list[CheckResult]:
             g = Semilinear(Mat2(tower, 0, 1, 1, 0), 1)
             scan = census(g, [k]).entries[0].polynomials
             pair = construct_scrim(tower, k)
+            # the listing and the census both come sorted by Poly.lex_key
             ok = (
                 ok
                 and len(fam) == want
                 and all(is_scrim(f) and is_invariant(g, f) for f in fam)
-                and sorted(fam) == sorted(scan)
-                and pair[0] == min(fam)
+                and fam == scan
+                and pair[0] == fam[0]
                 and pair[1] in fam
                 and pair[0] != pair[1]
             )

@@ -1,19 +1,21 @@
-"""Degree, exponent, count and Frobenius arguments: an int gives a result
-or a typed error, anything else a typed error, never a bare TypeError or
-a silently truncated value."""
+"""Degree, exponent, count, Frobenius, cap, budget, tower-parameter and
+element-code arguments: an int gives a result or a typed error, anything
+else a typed error, never a bare TypeError or a silently truncated
+value."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import galois_moebius as gm
-from galois_moebius.errors import GaloisMoebiusError
-from galois_moebius.gftower import first_irreducible
+from galois_moebius.errors import DomainError, GaloisMoebiusError
+from galois_moebius.gftower import first_irreducible, multiplicative_order
 from galois_moebius.invariants import (
     admissible_shifts,
     asymptotic_report,
     census,
     construct_scrim,
     enumerate_invariants,
+    involution_ratio_check,
     plan_enumeration,
     scrim_count,
     scrim_count_divisor_sum,
@@ -35,6 +37,7 @@ A = Mat2(TOWER, 0, 1, 1, 1)
 F = Poly(TOWER.top, [1, 1])
 M = Poly(TOWER.top, [1, 1, 1])
 SWAP = Semilinear(Mat2(TOWER, 0, 1, 1, 0), 1)
+INVOLUTION = Mat2(TOWER, 0, 1, 1, 0)
 
 # entry point -> (call with the drawn value, whether None is a valid value)
 CALLS = {
@@ -67,6 +70,26 @@ CALLS = {
     "scrim_count_divisor_sum": (lambda v: scrim_count_divisor_sum(2, v), False),
     "srim_count": (lambda v: srim_count(2, v), False),
     "count_irreducibles": (lambda v: count_irreducibles(2, v), False),
+    # caps and budgets: an int, or None where no limit is allowed
+    "plan_enumeration cap": (lambda v: plan_enumeration(SWAP, 3, cap=v), True),
+    "enumerate_invariants cap": (lambda v: enumerate_invariants(SWAP, 3, cap=v), True),
+    "asymptotic_report cap": (lambda v: asymptotic_report(Semilinear(A, 1), [3], cap=v), True),
+    "fixing_polynomial cap": (lambda v: fixing_polynomial(A, 2, cap=v), True),
+    "census budget": (lambda v: census(Semilinear(A, 1), [1], budget=v), False),
+    "involution_ratio_check budget": (
+        lambda v: involution_ratio_check(TOWER, INVOLUTION, 3, budget=v),
+        False,
+    ),
+    "involution_ratio_check half_degree": (
+        lambda v: involution_ratio_check(TOWER, INVOLUTION, v),
+        False,
+    ),
+    "census degree list": (lambda v: census(Semilinear(A, 1), v), False),
+    "extension_embedding": (lambda v: TOWER.extension_embedding(v), False),
+    "build_tower p": (lambda v: gm.build_tower(v, 1, 2), False),
+    "build_tower e": (lambda v: gm.build_tower(2, v, 2), False),
+    "build_tower n": (lambda v: gm.build_tower(2, 1, v), False),
+    "multiplicative_order": (lambda v: multiplicative_order(TOWER.top, v), False),
 }
 
 VALUES = st.one_of(st.integers(-3, 3), st.floats(), st.text(max_size=2), st.none())
@@ -84,3 +107,17 @@ def test_arguments_give_results_or_typed_errors(name, value):
     assert isinstance(value, int) or (value is None and none_ok), (
         f"{name} accepted {value!r}"
     )
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(CALLS) if n.endswith((" cap", " budget"))])
+def test_float_caps_and_budgets_are_rejected(name):
+    # a float large enough to pass the size check used to be taken as is
+    with pytest.raises(DomainError):
+        CALLS[name][0](1e9)
+
+
+@pytest.mark.parametrize("code", [-1, 4, 2**70])
+def test_multiplicative_order_rejects_codes_out_of_range(code):
+    # -1 used to give the order of 3 and 4 an IndexError on F_4
+    with pytest.raises(DomainError):
+        multiplicative_order(TOWER.top, code)

@@ -165,6 +165,18 @@ def test_srim_modes(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("p, degree", [(2, 10), (3, 6)])
+def test_srim_count_and_first_agree_with_the_list(capsys, p, degree):
+    argv = ("scrim", "--p", str(p), "--degree", str(degree), "--kind", "srim", "--output", "json")
+    listed = json.loads(run(capsys, *argv, "--mode", "list")[1])["result"]
+    code, out, _ = run(capsys, *argv, "--mode", "count")
+    assert code == 0
+    assert json.loads(out)["result"] == {"count": listed["count"]}
+    code, out, _ = run(capsys, *argv, "--mode", "first")
+    assert code == 0
+    assert json.loads(out)["result"] == {"poly": listed["polynomials"][0]}
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(
         capsys,

@@ -1,5 +1,6 @@
-"""Every import in the package source is used somewhere in its module, and
-the package has one square-and-multiply ladder."""
+"""Every import in the package source is used somewhere in its module, the
+package has one square-and-multiply ladder, and one long division per
+polynomial kernel kind."""
 
 import ast
 from pathlib import Path
@@ -81,3 +82,39 @@ def test_one_square_and_multiply_ladder():
         ]
     assert len(found) == 1 and found[0].startswith("numtheory.py:"), found
     assert found[0].endswith(": power"), found
+
+
+def _function(path, name):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
+def _is_descending_loop(node):
+    # for i in range(top, stop, -1): the long division's walk down the dividend
+    return (
+        isinstance(node, ast.For)
+        and isinstance(node.iter, ast.Call)
+        and isinstance(node.iter.func, ast.Name)
+        and node.iter.func.id == "range"
+        and len(node.iter.args) == 3
+        and isinstance(node.iter.args[2], ast.UnaryOp)
+    )
+
+
+def test_one_long_division_per_kernel_kind():
+    # polyring's division only scales the divisor and calls the level's
+    # kernel, and each kernel kind (char-2 rows, odd-p rows, generic) has
+    # one division loop, under the shared poly_rem_monic and
+    # poly_divmod_monic wrappers
+    divmod_ = _function(PACKAGE / "polyring.py", "_divmod")
+    loops = [n for n in ast.walk(divmod_) if isinstance(n, (ast.For, ast.While, ast.comprehension))]
+    assert not loops, "polyring._divmod divides with its own loop"
+    install = _function(PACKAGE / "gftower.py", "_install_poly_ops")
+    kinds = next(n for n in install.body if isinstance(n, ast.If))
+    branches = [kinds.body, kinds.orelse[0].body, kinds.orelse[0].orelse]
+    for branch in branches:
+        found = [n for stmt in branch for n in ast.walk(stmt) if _is_descending_loop(n)]
+        assert len(found) == 1, [n.lineno for n in found]
+    assert sum(_is_descending_loop(n) for n in ast.walk(install)) == 3
+    defs = [n.name for n in ast.walk(install) if isinstance(n, ast.FunctionDef)]
+    assert defs.count("poly_rem_monic") == 1 and defs.count("poly_divmod_monic") == 1, defs

@@ -241,6 +241,36 @@ def test_census_of_a_nontrivial_element_lists_nothing(monkeypatch, t212):
         census(Semilinear.identity(t212), [3])
 
 
+def test_census_checks_only_the_eigenvalues_when_sigma_is_trivial(monkeypatch):
+    # over F_65536 with frob = n, sigma is the identity on the level; the
+    # F_Q check looks at the eigenvalues of the element's 2x2 matrix alone,
+    # not at all 65535 scalars
+    tower = gm.build_tower(2, 8, 2)
+    level = tower.top
+    rng = random.Random(5)
+    while True:
+        a, b, c, d = (rng.randrange(1, level.size) for _ in range(4))
+        if level.mul(a, d) == level.mul(b, c):
+            continue
+        # the degree-1 fixed points x - r: the roots of c*x**2 + (d - a)*x - b
+        fixed = polyring._roots(level, [level.neg(b), level.sub(d, a), c])
+        if len(fixed) == 2:
+            break
+    solves = []
+    solve = invariants._solve
+
+    def counted(field, rows):
+        if field is level:
+            solves.append(rows)
+        return solve(field, rows)
+
+    monkeypatch.setattr(invariants, "_solve", counted)
+    got = census(Semilinear(Mat2(tower, a, b, c, d), tower.n), [1]).entries[0].polynomials
+    assert len(solves) <= 2
+    want = sorted((Poly(level, [level.neg(r), 1]) for r in fixed), key=Poly.lex_key)
+    assert list(got) == want
+
+
 @pytest.mark.parametrize("params, k", [((2, 1, 3), 5), ((3, 1, 2), 4)])
 def test_census_matches_a_filter_over_every_irreducible(params, k):
     tower = gm.build_tower(*params)
@@ -257,6 +287,7 @@ def test_scrim_counts_agree():
     assert scrim_count(2, 3) == 2
     assert scrim_count(2, 5) == 6
     assert scrim_count(3, 3) == 8
+    assert scrim_count_divisor_sum(2, 61) == scrim_count(2, 61) == 37800705069076950
 
 
 def test_scrim_count_guards():

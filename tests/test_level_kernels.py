@@ -1,13 +1,16 @@
 """The polynomial kernels against a schoolbook oracle.
 
-Each level installs its own poly_mul and poly_rem_monic (row tables in
-characteristic 2, row tables plus addition rows for odd p, plain scalar
-calls above the row cap).  Products modulo a long modulus go through
+Each level installs its own poly_mul and one long division loop (row
+tables in characteristic 2, row tables plus addition rows for odd p, plain
+scalar calls above the row cap); the shared poly_rem_monic and
+poly_divmod_monic wrap that loop, and polyring's exact divisions and
+Poly.__divmod__ run on poly_divmod_monic.  Products modulo a long modulus go through
 polyring's packed kernel instead (Kronecker multiply, Barrett remainder).
 The oracle below uses only the level's scalar add, mul and sub, so it is
 independent of which kernel a level carries.
 """
 
+import itertools
 import random
 import subprocess
 import sys
@@ -88,6 +91,34 @@ def test_poly_rem_monic_matches_schoolbook(level, data):
     pad = data.draw(st.integers(0, 3), label="zero padding")
     f = [*f, *([0] * pad)]
     assert level.poly_rem_monic(list(f), m) == school_rem_monic(level, f, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_poly_divmod_monic_matches_schoolbook(level, data):
+    body = data.draw(_coeffs(level, 0, 39), label="modulus body")
+    m = [*body, 1]
+    f = data.draw(_coeffs(level, 0, 60), label="dividend")
+    pad = data.draw(st.integers(0, 3), label="zero padding")
+    f = [*f, *([0] * pad)]
+    q, r = level.poly_divmod_monic(list(f), m)
+    assert r == school_rem_monic(level, f, m)
+    assert len(r) < len(m) and q == _trim(list(q))
+    prod = school_mul(level, q, m) if q else []
+    total = [level.add(a, b) for a, b in itertools.zip_longest(prod, r, fillvalue=0)]
+    assert _trim(total) == _trim(list(f))
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_poly_divmod_with_a_non_monic_divisor(level, data):
+    lead = data.draw(st.integers(2, level.size - 1), label="leading coefficient")
+    g = Poly(level, [*data.draw(_coeffs(level, 0, 12), label="divisor body"), lead])
+    f = Poly(level, data.draw(_coeffs(level, 0, 40), label="dividend"))
+    q, r = divmod(f, g)
+    assert q * g + r == f
+    assert r.degree < g.degree
+    assert (f // g, f % g) == (q, r)
 
 
 # --- the packed kernel --------------------------------------------------

@@ -37,6 +37,24 @@ def test_factorize_known():
     assert factorize(2**61 - 1) == {2**61 - 1: 1}
 
 
+def test_factorize_splits_a_semiprime_by_pollard_rho(monkeypatch):
+    # both factors lie above the trial-division primes, so only rho can
+    # split the product
+    from galois_moebius import numtheory
+
+    rho = numtheory._pollard_rho
+    seen = []
+
+    def counted(n):
+        seen.append(n)
+        return rho(n)
+
+    monkeypatch.setattr(numtheory, "_pollard_rho", counted)
+    assert factorize(1000003 * 1000033) == {1000003: 1, 1000033: 1}
+    assert factorize(65537**2 * (2**31 - 1)) == {65537: 2, 2**31 - 1: 1}
+    assert seen
+
+
 def test_factorize_reconstructs():
     for n in (97, 1024, 3**7 * 11, 2**16 + 1, 10**12 + 39):
         fac = factorize(n)

@@ -343,3 +343,33 @@ def test_roots_match_evaluation_scan(params):
 def test_roots_of_a_nonzero_constant(level):
     for c in (1, level.size - 1):
         assert roots(Poly(level, [c])) == []
+
+
+# F_2, F_3, F_4, F_5, F_9 and F_16
+FACTOR_LEVELS = [
+    lambda: gm.build_tower(2, 1, 2).bottom,
+    lambda: gm.build_tower(3, 1, 2).bottom,
+    lambda: gm.build_tower(2, 1, 2).top,
+    lambda: gm.build_tower(5, 1, 2).bottom,
+    lambda: gm.build_tower(3, 1, 2).top,
+    lambda: gm.build_tower(2, 1, 4).top,
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_factor_recovers_multiplicities_past_the_characteristic(data):
+    # multiplicities p, p + 1, 2p and p**2 make the squarefree
+    # decomposition take p-th roots
+    level = data.draw(st.sampled_from(FACTOR_LEVELS), label="level")()
+    p = level.p
+    pool = [cs for k in (1, 2, 3) if level.size**k <= 64 for cs in monic_irreducibles(level, k)]
+    picks = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+    mults = (1, 2, p, p + 1, 2 * p, p * p)
+    want = [(Poly(level, cs), data.draw(st.sampled_from(mults), label="multiplicity")) for cs in picks]
+    f = Poly.one(level)
+    for g, e in want:
+        f = f * g**e
+    lc, parts = factor(f)
+    assert lc == 1
+    assert parts == sorted(want, key=lambda t: (t[0].degree, t[0].lex_key()))

@@ -177,16 +177,9 @@ def _cmd_invariants(args):
                 g, args.degree, cap=args.cap_enum, seed=args.seed
             )
             method = "enum"
-            plan_doc = {
-                "feasible": plan.feasible,
-                "reason": plan.reason,
-                "frob_index": plan.frob_index,
-                "span": plan.span,
-                "factor_order": plan.factor_order,
-                "s": plan.s,
-                "shifts": list(plan.shifts),
-                "twists": list(plan.twists),
-            }
+            fields = ("feasible", "reason", "frob_index", "span",
+                      "factor_order", "s", "shifts", "twists")
+            plan_doc = {name: getattr(plan, name) for name in fields}
         except DegreeTooSmall:
             if args.method == "enum":
                 raise

@@ -5,15 +5,18 @@
   table of the element maps sigma(f) to a scalar multiple of f; for each
   scalar that is a small linear system over F_p, whose solutions are
   tested for irreducibility, and every hit is re-verified through the
-  action itself.  Only the trivial action lists the irreducibles, by a
-  sieve over all Q**k monic candidates (one byte each, bounded by the
-  census budget).  Free of the enumeration's degree theory, so it
+  action itself.  Free of the enumeration's degree theory, so it
   doubles as the ground truth the fast route is tested against.
 * enumerate_invariants: the production path.  The degree arithmetic of a
   group element singles out a handful of sparse "fixing polynomials" of
   degree about q**s + 1 whose degree-k irreducible factors are exactly the
   fixed polynomials of degree k = D*s, so factoring those recovers the
   invariant set without scanning.
+* pure Frobenius elements: a scalar matrix with sigma_i fixes exactly
+  the degree-k irreducibles over the fixed field F_(q**t) of sigma_i,
+  t = gcd(i, n), when gcd(k, n/t) = 1, and none otherwise.  Census and
+  enumeration both take that set from _pure_frobenius_fixed, one sieve
+  over the fixed field's codes (the cached listing when t = n).
 * counting formulas and listings for the two classical families:
   conjugate self-reciprocal polynomials over F_(q**2) (fixed by the
   inverting matrix [[0,1],[1,0]] with one Frobenius twist) and plain
@@ -172,7 +175,7 @@ def plan_enumeration(g, degree: int, cap: int | None = DEFAULT_ENUM_CAP) -> Enum
     span = n // t
     D = proj_order((reduced**span).mat)
     base_power = tower.q**t
-    pure = reduced.mat.proj_eq(Mat2.identity(tower))
+    pure = reduced.mat.is_scalar()
 
     def plan(s, shifts, twists, feasible, reason):
         return EnumerationPlan(
@@ -217,6 +220,28 @@ def plan_enumeration(g, degree: int, cap: int | None = DEFAULT_ENUM_CAP) -> Enum
     return plan(s, shifts, tuple(twists), True, "")
 
 
+def _pure_frobenius_fixed(level, frob: int, k: int) -> tuple[Poly, ...]:
+    """The monic irreducibles of degree k over the level fixed by a scalar
+    matrix with sigma_frob, in lexicographic order.  On a level of Galois
+    degree n, sigma_frob fixes F_(q**t), t = gcd(frob, n), so the fixed f
+    are those with coefficients there; an irreducible of degree k over
+    F_(q**t) stays irreducible over the level exactly when
+    gcd(k, n/t) = 1, so the set is empty or the sieve's listing over the
+    fixed field's codes: the base level's for t = 1, the cached listing
+    of the level itself for t = n."""
+    n = level.gal_degree
+    t = gcd(frob, n)
+    if gcd(k, n // t) > 1:
+        return ()
+    if t == n:
+        return tuple(Poly(level, cs) for cs in polyring.monic_irreducibles(level, k))
+    if t == 1:
+        subfield = level.base.elements_lex()
+    else:
+        subfield = [a for a in level.elements_lex() if level.frob(a, t) == a]
+    return tuple(Poly(level, (*tail, 1)) for tail in polyring._sieve(level, k, subfield))
+
+
 def enumerate_invariants(
     g, degree: int, cap: int | None = DEFAULT_ENUM_CAP, seed: int = 0
 ) -> tuple[Poly, ...]:
@@ -224,9 +249,8 @@ def enumerate_invariants(
     degree/D > 2) fixed by g, found by factoring twisted fixing
     polynomials rather than scanning.
 
-    An element that is projectively a pure Frobenius sigma_t fixes the
-    irreducibles with coefficients in the index-t subfield, which the
-    sieve lists over that subfield's codes."""
+    An element that is projectively a pure Frobenius sigma_t needs no
+    fixing polynomial: its fixed set is _pure_frobenius_fixed's."""
     g = _as_semilinear(g)
     plan = plan_enumeration(g, degree, cap=cap)
     if not plan.feasible:
@@ -234,12 +258,7 @@ def enumerate_invariants(
     level = g.tower.top
     t, s = plan.frob_index, plan.s
     if plan.pure_frobenius:
-        # the element generates the same group as sigma_t alone, so the
-        # fixed polynomials are exactly the irreducibles over the index-t
-        # subfield (the plan keeps degree coprime to n/t, so they stay
-        # irreducible over the top); no fixing polynomial is needed
-        subfield = [a for a in level.elements_lex() if level.frob(a, t) == a]
-        return tuple(Poly(level, (*tail, 1)) for tail in polyring._sieve(level, degree, subfield))
+        return _pure_frobenius_fixed(level, t, degree)
     rng = random.Random(seed)
     found: dict[tuple[int, ...], Poly] = {}
     for j in plan.twists:
@@ -364,14 +383,14 @@ def _fixed_points(level, g: Semilinear, k: int):
     twisted product B = sigma**(m-1)(A) * ... * sigma(A) * A, and its
     eigenvalues are the mu1**j * mu2**(k - j), mu1 and mu2 those of B:
     at most k + 1 values of N are checked, and when sigma is trivial on
-    the level no other L is tried."""
+    the level no other L is tried.  On a level of Galois degree n, m is
+    n / gcd(g.frob, n).  Scalar matrices are accepted too, though the
+    census takes their fixed sets from _pure_frobenius_fixed."""
     p, w = level.p, level.flat_deg
     mul, add, sub, frob, idx = level.mul, level.add, level.sub, level.frob, g.frob
     T = _substitution_rows(level, g.mat, k)
     unit = [p**s for s in range(w)]
-    m = 1
-    while any(frob(e, m * idx) != e for e in unit):
-        m += 1
+    m = level.gal_degree // gcd(idx, level.gal_degree)
     B = twisted_product(g.mat, m, idx)
     P = _substitution_rows(level, B, k)
     a, b, c, d = B.entries
@@ -438,21 +457,6 @@ def _fixed_points(level, g: Semilinear, k: int):
     return found
 
 
-def _fixed_by_solving(level, g: Semilinear, k: int) -> tuple[Poly, ...]:
-    """The monic irreducibles of degree k over the level fixed by g, in
-    lexicographic order.  A scalar matrix without a Frobenius twist on
-    the level fixes every one of them, which the sieve lists; any other
-    element fixes only the irreducible members of _fixed_points."""
-    p = level.p
-    unit = [p**s for s in range(level.flat_deg)]
-    if g.mat.is_scalar() and all(level.frob(e, g.frob) == e for e in unit):
-        return tuple(Poly(level, cs) for cs in polyring.monic_irreducibles(level, k))
-    polys = [
-        Poly(level, cs) for cs in _fixed_points(level, g, k) if polyring._irreducible(level, cs)
-    ]
-    return tuple(sorted(polys, key=Poly.lex_key))
-
-
 def census(
     g,
     degrees,
@@ -463,14 +467,13 @@ def census(
 
     Each degree k solves the fixed-point equations of the element on the
     coefficients, one small linear system over F_p per scalar (see
-    _fixed_points), and keeps the irreducible solutions; only the trivial
-    action (a scalar matrix without a Frobenius twist on the level), which
-    fixes everything, lists the monic irreducibles by sieve
-    (polyring.monic_irreducibles).  The budget bounds the number of monic
-    candidates (field size to the power of the degree) per requested
-    degree, the sieve's one-byte flag per candidate on the trivial
-    action.  The report re-verifies its own entries through is_invariant,
-    the action's own route, before it is returned."""
+    _fixed_points), and keeps the irreducible solutions, in lexicographic
+    order; a scalar matrix, a pure Frobenius, takes its fixed set from
+    _pure_frobenius_fixed instead, one sieve over its fixed field.  The
+    budget bounds the number of monic candidates (field size to the power
+    of the degree) per requested degree, and so the sieve's one-byte flag
+    per candidate.  The report re-verifies its own entries through
+    is_invariant, the action's own route, before it is returned."""
     g = _as_semilinear(g)
     if level is None:
         level = g.tower.top
@@ -492,7 +495,12 @@ def census(
         raise DomainError("matrix entries do not lie in the coefficient field")
     entries = []
     for k in degrees:
-        polys = _fixed_by_solving(level, g, k)
+        if g.mat.is_scalar():
+            polys = _pure_frobenius_fixed(level, g.frob, k)
+        else:
+            fixed = _fixed_points(level, g, k)
+            irreducible = [Poly(level, cs) for cs in fixed if polyring._irreducible(level, cs)]
+            polys = tuple(sorted(irreducible, key=Poly.lex_key))
         entries.append(CensusEntry(k, len(polys), polys))
     element = f"{g.mat.to_text()} | frob={g.frob}"
     report = CensusReport(element, level.size, budget, tuple(entries))
@@ -832,6 +840,8 @@ def asymptotic_report(
     """Exact invariant counts against the leading-term prediction
     euler_phi(D) * q**s / (D * s), one point per degree scale s."""
     g = _as_semilinear(g)
+    if isinstance(s_values, str) or not hasattr(s_values, "__iter__"):
+        raise DomainError(f"degree scales must be a list of ints, got {s_values!r}")
     reduced = reduce_frobenius_index(g)
     span = g.tower.n // reduced.frob
     D = proj_order((reduced**span).mat)

@@ -396,16 +396,10 @@ def fixing_polynomial(mat: Mat2, m: int, step: int = 1, cap: int | None = None) 
             f"fixing polynomial degree {E + 1} exceeds the cap {cap}"
         )
     top = tower.top
-    sparse: dict[int, int] = {}
+    out = [0] * (E + 2)
+    # with E = 1 (m = 0 or step = 0) the x**E and x terms share a slot
     for idx, val in ((E + 1, mat.c), (E, top.neg(mat.a)), (1, mat.d), (0, top.neg(mat.b))):
-        if val:
-            cur = sparse.get(idx)
-            sparse[idx] = top.add(cur, val) if cur is not None else val
-    if not sparse:
-        return Poly.zero(top)
-    out = [0] * (max(sparse) + 1)
-    for idx, val in sparse.items():
-        out[idx] = val
+        out[idx] = top.add(out[idx], val)
     return Poly(top, out)
 
 

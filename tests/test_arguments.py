@@ -85,6 +85,7 @@ CALLS = {
         False,
     ),
     "census degree list": (lambda v: census(Semilinear(A, 1), v), False),
+    "asymptotic_report scale list": (lambda v: asymptotic_report(SWAP, v), False),
     "extension_embedding": (lambda v: TOWER.extension_embedding(v), False),
     "build_tower p": (lambda v: gm.build_tower(v, 1, 2), False),
     "build_tower e": (lambda v: gm.build_tower(2, v, 2), False),
@@ -114,6 +115,13 @@ def test_float_caps_and_budgets_are_rejected(name):
     # a float large enough to pass the size check used to be taken as is
     with pytest.raises(DomainError):
         CALLS[name][0](1e9)
+
+
+@pytest.mark.parametrize("scales", [3, None])
+def test_asymptotic_report_rejects_scales_that_are_not_a_list(scales):
+    # "'int' object is not iterable" used to leak as a bare TypeError
+    with pytest.raises(DomainError):
+        asymptotic_report(SWAP, scales)
 
 
 @pytest.mark.parametrize("code", [-1, 4, 2**70])

@@ -72,6 +72,25 @@ def test_invariants_enum(capsys):
     }
 
 
+def test_invariants_plan_json(capsys):
+    code, out, _ = run(
+        capsys,
+        "invariants", "--p", "2", "--n", "2", "--matrix", "0;1;1;0",
+        "--frob", "1", "--degree", "5", "--output", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["result"]["plan"] == {
+        "factor_order": 1,
+        "feasible": True,
+        "frob_index": 1,
+        "reason": "",
+        "s": 5,
+        "shifts": [3],
+        "span": 2,
+        "twists": [1],
+    }
+
+
 def test_invariants_pure_frobenius_within_cap(capsys):
     cases = [
         # [I, sigma] over F_9 at degree 5: the F_3 irreducibles, 3**5 candidates

@@ -1,6 +1,6 @@
 """Every import in the package source is used somewhere in its module, the
-package has one square-and-multiply ladder, and one long division per
-polynomial kernel kind."""
+package has one square-and-multiply ladder, one long division per
+polynomial kernel kind, and one route to a pure Frobenius fixed set."""
 
 import ast
 from pathlib import Path
@@ -118,3 +118,23 @@ def test_one_long_division_per_kernel_kind():
     assert sum(_is_descending_loop(n) for n in ast.walk(install)) == 3
     defs = [n.name for n in ast.walk(install) if isinstance(n, ast.FunctionDef)]
     assert defs.count("poly_rem_monic") == 1 and defs.count("poly_divmod_monic") == 1, defs
+
+
+def _called(fn):
+    return {
+        node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Attribute, ast.Name))
+    }
+
+
+def test_one_route_for_pure_frobenius_fixed_sets():
+    # census and enumeration take a scalar matrix's fixed set from
+    # _pure_frobenius_fixed, the one of the three that lists irreducibles
+    listings = {"_sieve", "monic_irreducibles", "elements_lex"}
+    path = PACKAGE / "invariants.py"
+    assert _called(_function(path, "_pure_frobenius_fixed")) >= listings
+    for name in ("census", "enumerate_invariants"):
+        called = _called(_function(path, name))
+        assert "_pure_frobenius_fixed" in called, name
+        assert not called & listings, (name, called & listings)

@@ -217,7 +217,7 @@ def test_census_solver_matches_is_invariant(case):
                 (Poly(level, cs) for cs in want if is_irreducible(Poly(level, cs))),
                 key=Poly.lex_key,
             )
-            assert list(invariants._fixed_by_solving(level, g, k)) == irreducible, i
+            assert list(census(g, [k], level=level).entries[0].polynomials) == irreducible, i
         else:
             assert want <= set(got), i
             assert all(is_invariant(g, Poly(level, cs)) for cs in got), i
@@ -236,9 +236,65 @@ def test_census_of_a_nontrivial_element_lists_nothing(monkeypatch, t212):
         Semilinear(Mat2(t212, 2, 0, 0, 2), 1),
     ):
         census(g, [1, 2, 3, 4, 5])
-    # the trivial action is the one census that lists
+    # the trivial action is the one census that reads the cached listing;
+    # the scalar matrices above with sigma sieve only their fixed field F_2
     with pytest.raises(AssertionError):
         census(Semilinear.identity(t212), [3])
+
+
+def test_census_of_a_pure_frobenius_solves_nothing(monkeypatch):
+    # [I, sigma] over F_4096 fixes the F_2 irreducibles of degree coprime
+    # to 12: the sieve over F_2 lists x and x + 1, and degree 2 is empty,
+    # with no elimination over any level
+    def refuse(field, rows):
+        raise AssertionError("the census solved fixed-point equations")
+
+    tower = gm.build_tower(2, 1, 12)
+    monkeypatch.setattr(invariants, "_solve", refuse)
+    report = census(Semilinear(Mat2.identity(tower), 1), [1, 2])
+    assert [f.coeffs for f in report.entries[0].polynomials] == [(0, 1), (1, 1)]
+    assert report.entries[1].polynomials == ()
+
+
+def test_pure_frobenius_enumeration_leaves_the_top_unsorted(monkeypatch):
+    # [I, sigma] over F_(2**17) at degree 3 sieves F_2's two codes, not the
+    # 2**17 codes of the top
+    tower = gm.build_tower(2, 1, 17)
+    top = tower.top
+    monkeypatch.setattr(top, "_elements_lex", None)
+    got = enumerate_invariants(Semilinear(Mat2.identity(tower), 1), 3)
+    assert [f.coeffs for f in got] == [(1, 0, 1, 1), (1, 1, 0, 1)]
+    assert top._elements_lex is None
+
+
+def test_trivial_action_enumeration_reads_the_cached_listing(monkeypatch, t212):
+    g = Semilinear(Mat2.identity(t212), t212.n)
+    first = enumerate_invariants(g, 5)
+
+    def refuse(*args):
+        raise AssertionError("the trivial action sieved again")
+
+    monkeypatch.setattr(polyring, "_sieve", refuse)
+    assert enumerate_invariants(g, 5) == first
+    assert len(first) == polyring.count_irreducibles(4, 5)
+
+
+@pytest.mark.parametrize("params", SOLVER_TOWERS)
+def test_census_of_scalar_matrices_matches_the_solver(params):
+    # the sieve route against the independent solver: every Frobenius
+    # index, t = 2 on (2, 1, 4) included, on the top and the middle field
+    tower = gm.build_tower(*params)
+    for level in (tower.top, tower.mid):
+        for a in sorted({1, level.size - 1}):
+            for i in range(1, tower.n + 1):
+                g = Semilinear(Mat2(tower, a, 0, 0, a), i)
+                for k in range(1, 5):
+                    if level.size**k > 4096:
+                        break
+                    fixed = invariants._fixed_points(level, g, k)
+                    want = [Poly(level, cs) for cs in fixed if polyring._irreducible(level, cs)]
+                    got = census(g, [k], level=level).entries[0].polynomials
+                    assert list(got) == sorted(want, key=Poly.lex_key), (level, a, i, k)
 
 
 def test_census_checks_only_the_eigenvalues_when_sigma_is_trivial(monkeypatch):

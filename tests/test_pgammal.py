@@ -283,6 +283,18 @@ def test_fixing_polynomial_cap(t212):
     assert fixing_polynomial(A, 1).degree == 2 + 1
 
 
+def test_fixing_polynomial_at_exponent_one(t212):
+    # m = 0 or step = 0 gives E = 1, where the x**E and x terms add up
+    top = t212.top
+    A = Mat2(t212, 3, 1, 2, 2)
+    a, b, c, d = A.entries
+    want = Poly(top, [top.neg(b), top.sub(d, a), c])
+    assert fixing_polynomial(A, 0) == fixing_polynomial(A, 3, step=0) == want
+    # a = d cancels the x term
+    assert fixing_polynomial(Mat2(t212, 2, 1, 1, 2), 0).coeffs == (1, 0, 1)
+    assert fixing_polynomial(Mat2.identity(t212), 0) == Poly.zero(top)
+
+
 def test_fixing_polynomial_twisted_relation(t212):
     # target roots: sigma^(step*i)(alpha) = beta satisfies B . beta**E = beta
     A = Mat2(t212, 3, 0, 2, 2)

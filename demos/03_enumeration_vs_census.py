@@ -1,7 +1,7 @@
 """Fast enumeration of fixed polynomials, checked against the census.
 
 The census solves the fixed-point equations on the coefficients, one
-small linear system per scalar, and keeps the irreducible solutions; it
+F_Q eigenspace per norm value, and keeps the irreducible solutions; it
 needs no theory of which degrees can host invariants.  The enumeration
 goes the other way: degree arithmetic decides which degrees can host
 invariants at all, and the eligible ones are read off the factors of

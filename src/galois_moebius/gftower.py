@@ -203,19 +203,23 @@ class Level:
     def _mul_generic(self, a, b):
         raise NotImplementedError
 
+    def _generator(self):
+        """The least code that generates the multiplicative group.  A proper
+        extension skips the base field's codes, which never generate; a low
+        code is a short polynomial, so the exp table's products are cheap."""
+        order = self.size - 1
+        prime_parts = [order // r for r in factorize(order)] if order > 1 else []
+        for cand in range(self.base.size if self.deg > 1 else 1, self.size):
+            if all(self._pow_generic(cand, m) != 1 for m in prime_parts):
+                return cand
+        raise NotFound("no multiplicative generator found")
+
     def _build_exp_log(self):
         size = self.size
         if size > _LOG_CAP:
             return
         order = size - 1
-        gen = None
-        prime_parts = [order // r for r in factorize(order)] if order > 1 else []
-        for cand in range(1, size):
-            if all(self._pow_generic(cand, m) != 1 for m in prime_parts):
-                gen = cand
-                break
-        if gen is None:
-            raise NotFound("no multiplicative generator found")
+        gen = self._generator()
         exp = [1] * (2 * order)
         acc = 1
         for i in range(1, order):
@@ -652,9 +656,15 @@ class FieldTower:
             a = FieldElement(self.top, a)
         return a.subfield_degree()
 
+    def _own(self, level: Level) -> Level:
+        """The level, when it is the top, middle or bottom of this tower."""
+        if not any(level is own for own in (self.top, self.mid, self.bottom)):
+            raise LevelMismatch(f"{level!r} is no level of {self!r}")
+        return level
+
     def _level(self, level: str | Level) -> Level:
         if not isinstance(level, str):
-            return level
+            return self._own(level)
         if level not in ("top", "mid", "bottom"):
             raise DomainError(f"unknown level name {level!r}; use top, mid or bottom")
         return getattr(self, level)

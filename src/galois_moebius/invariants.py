@@ -1,12 +1,13 @@
 """Polynomials fixed by the twisted projective action, four ways.
 
 * census: every fixed monic irreducible of a degree, from the
-  fixed-point equations.  A polynomial f is fixed when the substitution
-  table of the element maps sigma(f) to a scalar multiple of f; for each
-  scalar that is a small linear system over F_p, whose solutions are
-  tested for irreducibility, and every hit is re-verified through the
-  action itself.  Free of the enumeration's degree theory, so it
-  doubles as the ground truth the fast route is tested against.
+  fixed-point equations: the substitution table of the element maps
+  sigma(f) to a multiple L*f.  By Galois descent (Hilbert 90) every L of
+  one norm gives the same fixed lines, so that is one F_Q eigenspace per
+  norm value; the solutions are tested for irreducibility and every hit
+  is re-verified through the action itself.  Free of the enumeration's
+  degree theory, so it doubles as the ground truth the fast route is
+  tested against.
 * enumerate_invariants: the production path.  The degree arithmetic of a
   group element singles out a handful of sparse "fixing polynomials" of
   degree about q**s + 1 whose degree-k irreducible factors are exactly the
@@ -56,7 +57,7 @@ from .errors import (
     NotFound,
     NotInvolution,
 )
-from .gftower import FieldTower, Level, prime_level
+from .gftower import FieldTower, Level
 from .numtheory import divisors, euler_phi, moebius_mu, prime_power_split
 from .pgammal import (
     Mat2,
@@ -119,9 +120,9 @@ def is_invariant(g, f: Poly) -> bool:
     A matrix alone is read as the plain fractional linear action.  An
     image whose degree collapses (a root going to infinity) counts as not
     fixed."""
-    if not f.is_monic:
-        raise DomainError("invariance is defined for monic polynomials")
     g = _as_semilinear(g)
+    if not isinstance(f, Poly) or not f.is_monic:
+        raise DomainError("invariance is defined for monic polynomials")
     image = moebius_act(g.mat, frobenius_poly(f, g.frob), strict=False)
     return image is not None and image == f
 
@@ -329,12 +330,10 @@ def _substitution_rows(level, mat: Mat2, k: int):
 
 
 def _solve(field, rows):
-    """Gauss-Jordan elimination over a field level on the augmented rows
-    (each row's last entry its right-hand side).  Returns a particular
-    solution and a basis of the null space, or None when the system is
-    inconsistent."""
+    """A basis of the null space of the rows over a field level, by
+    Gauss-Jordan elimination in place."""
     mul, sub = field.mul, field.sub
-    n = len(rows[0]) - 1
+    n = len(rows[0])
     pivots = []
     for col in range(n):
         r = len(pivots)
@@ -350,11 +349,6 @@ def _solve(field, rows):
             if c and i != r:
                 rows[i] = [sub(x, mul(c, y)) for x, y in zip(row, piv)]
         pivots.append(col)
-    if any(row[n] for row in rows[len(pivots):]):
-        return None
-    particular = [0] * n
-    for row, col in zip(rows, pivots):
-        particular[col] = row[n]
     basis = []
     for free in sorted(set(range(n)) - set(pivots)):
         v = [0] * n
@@ -362,7 +356,28 @@ def _solve(field, rows):
         for row, col in zip(rows, pivots):
             v[col] = field.neg(row[free])
         basis.append(v)
-    return particular, basis
+    return basis
+
+
+def _descend(level, R, step, basis, gen, m):
+    """An F_Q0-basis of the vectors fixed by Phi(v) = R * sigma_step(v),
+    where Phi**m = 1 on the span of basis and sigma_step has order m and
+    fixed field F_Q0.  By Hilbert 90 such a basis is an F_Q-basis of the
+    span, and the traces sum(Phi**j(gen**i * e), j < m), i < m, span the
+    fixed vectors over F_Q0 (gen generates F_Q*), so the first
+    F_Q-independent traces form one."""
+    add, mul = level.add, level.mul
+    fixed, seeds = [], itertools.product(basis, range(m))
+    while len(fixed) < len(basis):
+        e, i = next(seeds)
+        u = t = [mul(level.pow(gen, i), x) for x in e]
+        for _ in range(1, m):
+            s = [level.frob(x, step) for x in u]
+            u = [reduce(add, map(mul, row, s)) for row in R]
+            t = list(map(add, t, u))
+        if not _solve(level, [list(row) for row in zip(*fixed, t)]):
+            fixed.append(t)
+    return fixed
 
 
 def _fixed_points(level, g: Semilinear, k: int):
@@ -371,26 +386,22 @@ def _fixed_points(level, g: Semilinear, k: int):
 
     With T from _substitution_rows, f is fixed exactly when the image
     T * sigma(f) is L * f for some L != 0 (L = 0: a root goes to
-    infinity).  For one L both sides are F_p-linear in the base-p digits
-    of the codes f_0, ..., f_(k-1) (f_k = 1), so the fixed f with that L
-    are the solutions of one affine system of (k + 1) * w equations in
-    k * w unknowns over F_p, w = level.flat_deg.  Most L are ruled out
-    over the level first: with sigma of order m on the level, applying
-    the equation m times gives P * f = N(L) * f, where
-    P = T * sigma(T) * ... * sigma**(m-1)(T) and N(L) is the product of
-    the sigma**j(L), j < m, so N(L) must be an eigenvalue of P with a
-    monic eigenvector.  Tables reverse products, so P is the table of the
-    twisted product B = sigma**(m-1)(A) * ... * sigma(A) * A, and its
-    eigenvalues are the mu1**j * mu2**(k - j), mu1 and mu2 those of B:
-    at most k + 1 values of N are checked, and when sigma is trivial on
-    the level no other L is tried.  On a level of Galois degree n, m is
-    n / gcd(g.frob, n).  Scalar matrices are accepted too, though the
-    census takes their fixed sets from _pure_frobenius_fixed."""
-    p, w = level.p, level.flat_deg
+    infinity).  Let sigma have order m on the level (n / gcd(g.frob, n)
+    on a level of Galois degree n) and fixed field F_Q0.  Applied m times
+    the equation gives P * f = N * f, N the norm of L (the product of the
+    sigma**j(L), j < m, in F_Q0) and P the table of the twisted product
+    B = sigma**(m-1)(A) * ... * sigma(A) * A, whose eigenvalues are the
+    mu1**j * mu2**(k - j), mu1 and mu2 those of B: at most k + 1 norms,
+    each one F_Q eigenspace E = ker(P - N).  By Hilbert 90 each L of norm
+    N is L0 * sigma(c) / c for one L0, so the fixed f of norm N are the
+    c * w, w in the vectors W of E fixed by L0**-1 * T * sigma (_descend;
+    W = E when m = 1): one f per F_Q0-line of W with a nonzero x**k
+    coordinate.  Scalar matrices are accepted too, though the census
+    takes their fixed sets from _pure_frobenius_fixed."""
     mul, add, sub, frob, idx = level.mul, level.add, level.sub, level.frob, g.frob
+    n = level.gal_degree
+    m = n // gcd(idx, n)
     T = _substitution_rows(level, g.mat, k)
-    unit = [p**s for s in range(w)]
-    m = level.gal_degree // gcd(idx, level.gal_degree)
     B = twisted_product(g.mat, m, idx)
     P = _substitution_rows(level, B, k)
     a, b, c, d = B.entries
@@ -402,58 +413,34 @@ def _fixed_points(level, g: Semilinear, k: int):
         # conjugate eigenvalues in F_(Q**2): a product in F_Q equals its
         # conjugate, so it squares to det**k
         eigen = set(polyring._roots(level, [level.neg(level.pow(det, k)), 0, 1]))
-    fibres = {}
-    # with sigma trivial on the level N(L) = L: only the eigenvalues can pass
-    for L in eigen if m == 1 else range(1, level.size):
-        N = L
-        for j in range(1, m):
-            N = mul(N, frob(L, j * idx))
-        if N in eigen:
-            fibres.setdefault(N, []).append(L)
-
-    def has_monic_eigenvector(N):
-        rows = [[sub(x, N) if i == j else x for j, x in enumerate(row)] for i, row in enumerate(P)]
-        return _solve(level, [row[:k] + [level.neg(row[k])] for row in rows]) is not None
-
-    def digits(a):
-        out = []
-        for _ in range(w):
-            a, r = divmod(a, p)
-            out.append(r)
-        return out
-
-    # T * sigma on the digits: row i * w + r, column j * w + s holds
-    # digit r of T[i][j] * sigma(p**s)
-    sigma = [frob(e, idx) for e in unit]
-    image, const = [], []
-    for Ti in T:
-        blocks = [[digits(mul(x, e)) for e in sigma] for x in Ti[:k]]
-        image += [[col[r] for block in blocks for col in block] for r in range(w)]
-        const += digits(Ti[k])
-    fp = prime_level(p)
+    if m == 1:
+        scalars = range(level.size)
+    else:
+        # scalars[i + 1] = eta**i, the norm of gen**i, runs over F_Q0*
+        Q0 = g.tower.q ** gcd(idx, n)
+        gen = level._generator()
+        eta = level.pow(gen, (level.size - 1) // (Q0 - 1))
+        scalars = [0, *itertools.accumulate([eta] * (Q0 - 2), mul, initial=1)]
     found = []
-    for N, scalars in fibres.items():
-        if not has_monic_eigenvector(N):
+    for N in eigen:
+        rows = [[sub(x, N) if i == j else x for j, x in enumerate(row)] for i, row in enumerate(P)]
+        W = _solve(level, rows) if frob(N, idx) == N else []  # a norm lies in F_Q0
+        if not any(w[k] for w in W):
             continue
-        for L in scalars:
-            # image - L * f = -const on the rows i < k, image = L - const on row k
-            times_L = [digits(mul(L, e)) for e in unit]
-            rhs = [-c for c in const[: k * w]] + [d - c for d, c in zip(times_L[0], const[k * w :])]
-            rows = [row + [b] for row, b in zip(image, rhs)]
-            for i in range(k):
-                for r in range(w):
-                    for s in range(w):
-                        rows[i * w + r][i * w + s] -= times_L[s][r]
-            solved = _solve(fp, [[x % p for x in row] for row in rows])
-            if solved is None:
-                continue
-            particular, basis = solved
-            sols = [particular]
-            for v in basis:
-                sols += [[(x + c * y) % p for x, y in zip(sol, v)] for sol in sols for c in range(1, p)]
-            for sol in sols:
-                codes = (sol[j * w : (j + 1) * w] for j in range(k))
-                found.append((*(sum(d * e for d, e in zip(c, unit)) for c in codes), 1))
+        if m > 1:
+            scale = level.pow(gen, 1 - scalars.index(N))
+            W = _descend(level, [[mul(scale, x) for x in row] for row in T], idx, W, gen, m)
+        # each F_Q0-line once, from its first nonzero coordinate over W
+        # (product would copy all of F_Q even with no factor)
+        for i, w in enumerate(W):
+            rest = W[i + 1 :]
+            for cs in itertools.product(scalars, repeat=len(rest)) if rest else [()]:
+                v = w
+                for c, u in zip(cs, rest):
+                    v = [add(x, mul(c, y)) for x, y in zip(v, u)]
+                if v[k]:
+                    lead = level.inv(v[k])
+                    found.append(tuple([mul(lead, x) for x in v]))
     return found
 
 
@@ -466,17 +453,18 @@ def census(
     """Every fixed monic irreducible of each of the whole degrees.
 
     Each degree k solves the fixed-point equations of the element on the
-    coefficients, one small linear system over F_p per scalar (see
-    _fixed_points), and keeps the irreducible solutions, in lexicographic
-    order; a scalar matrix, a pure Frobenius, takes its fixed set from
+    coefficients, one F_Q eigenspace per norm value (see _fixed_points),
+    and keeps the irreducible solutions, in lexicographic order; a scalar
+    matrix, a pure Frobenius, takes its fixed set from
     _pure_frobenius_fixed instead, one sieve over its fixed field.  The
-    budget bounds the number of monic candidates (field size to the power
-    of the degree) per requested degree, and so the sieve's one-byte flag
-    per candidate.  The report re-verifies its own entries through
-    is_invariant, the action's own route, before it is returned."""
+    level is the top of the element's tower unless given, and must be
+    one of that tower's three levels.  The budget bounds the number of
+    monic candidates (field size to the power of the degree) per
+    requested degree, and so the sieve's one-byte flag per candidate.
+    The report re-verifies its own entries through is_invariant, the
+    action's own route, before it is returned."""
     g = _as_semilinear(g)
-    if level is None:
-        level = g.tower.top
+    level = g.tower.top if level is None else g.tower._own(level)
     if not isinstance(budget, int):
         raise DomainError(f"budget must be an int, got {budget!r}")
     if isinstance(degrees, str) or not hasattr(degrees, "__iter__"):
@@ -489,8 +477,6 @@ def census(
             raise BudgetExceeded(
                 f"degree {k} needs {level.size}**{k} candidates, over the budget {budget}"
             )
-    if level.frob is None:
-        raise DomainError("this level has no tower Frobenius attached")
     if any(x >= level.size for x in g.mat.entries):
         raise DomainError("matrix entries do not lie in the coefficient field")
     entries = []

@@ -252,11 +252,13 @@ def _linear_powers(level, mat: Mat2, k: int):
 def moebius_act(mat: Mat2, f: Poly, strict: bool = True) -> Poly | None:
     """Fractional linear substitution, monic result.
 
-    Works on any level whose codes contain the matrix entries, so a matrix
-    with subfield entries also acts on polynomials over that subfield.
-    When a root of f maps to infinity the image degree collapses; strict
-    mode raises, otherwise None comes back (useful for predicates)."""
-    level = f.level
+    Works on any level of the matrix's tower whose codes hold the entries,
+    so a matrix with subfield entries also acts on polynomials over that
+    subfield.  When a root of f maps to infinity the image degree
+    collapses; strict mode raises, otherwise None comes back."""
+    if not isinstance(f, Poly):
+        raise DomainError(f"expected a Poly, got {type(f).__name__}")
+    level = mat.tower._own(f.level)
     a, b, c, d = mat.entries
     if any(x >= level.size for x in (a, b, c, d)):
         raise DomainError("matrix entries do not lie in the coefficient field")

@@ -270,6 +270,14 @@ def test_unknown_level_name_rejected(t212):
     assert t212.poly([1, 1], "bottom").level is t212.bottom
 
 
+def test_level_of_another_tower_rejected(t212, t312):
+    # an F_9 level used to be taken as is, so an F_4 tower built F_9 values
+    with pytest.raises(LevelMismatch):
+        t212.element(1, t312.top)
+    with pytest.raises(LevelMismatch):
+        t212.poly([1, 1], t312.top)
+
+
 def test_multiplicative_order_rejects_zero_multiple(t212):
     with pytest.raises(DomainError):
         multiplicative_order(t212.top, 2, divisor_of=0)

@@ -1,6 +1,8 @@
 """Every import in the package source is used somewhere in its module, the
 package has one square-and-multiply ladder, one long division per
-polynomial kernel kind, and one route to a pure Frobenius fixed set."""
+polynomial kernel kind, one route to a pure Frobenius fixed set, one
+multiplicative-generator search, and a census that neither works in base-p
+digits nor walks the scalars of its level."""
 
 import ast
 from pathlib import Path
@@ -138,3 +140,48 @@ def test_one_route_for_pure_frobenius_fixed_sets():
         called = _called(_function(path, name))
         assert "_pure_frobenius_fixed" in called, name
         assert not called & listings, (name, called & listings)
+
+
+def _is_generator_search(node):
+    # a loop that tests candidates with a generic power against 1
+    return isinstance(node, ast.For) and any(
+        isinstance(cmp, ast.Compare)
+        and isinstance(cmp.left, ast.Call)
+        and isinstance(cmp.left.func, ast.Attribute)
+        and cmp.left.func.attr == "_pow_generic"
+        and any(isinstance(c, ast.Constant) and c.value == 1 for c in cmp.comparators)
+        for cmp in ast.walk(node)
+    )
+
+
+def test_one_generator_search_and_a_census_by_descent():
+    # the census solves over the level itself: no base-p digits, no prime
+    # field, and no loop over all of its scalars; it shares the level's one
+    # generator search with the exp/log set-up
+    path = PACKAGE / "invariants.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    banned = names & {"flat_deg", "prime_level", "PrimeLevel"}
+    assert not banned, banned
+    fixed = _function(path, "_fixed_points")
+    loops = [n.iter for n in ast.walk(fixed) if isinstance(n, (ast.For, ast.comprehension))]
+    walks = [
+        loop.lineno
+        for loop in loops
+        if any(isinstance(a, ast.Attribute) and a.attr == "size" for a in ast.walk(loop))
+    ]
+    assert not walks, walks
+    gftower = ast.parse((PACKAGE / "gftower.py").read_text())
+    owners = [
+        fn.name
+        for fn in ast.walk(gftower)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if _is_generator_search(node)
+    ]
+    assert len(owners) == 1, owners
+    assert owners[0] != "_build_exp_log", owners
+    assert owners[0] in _called(_function(PACKAGE / "gftower.py", "_build_exp_log"))
+    assert owners[0] in _called(fixed)

@@ -14,6 +14,7 @@ from galois_moebius.errors import (
     DomainError,
     EvenDegree,
     EvenParameter,
+    LevelMismatch,
     NotInvolution,
     SingularMatrix,
 )
@@ -36,7 +37,7 @@ from galois_moebius.invariants import (
     srim_count,
     srim_polynomials,
 )
-from galois_moebius.pgammal import Mat2, Semilinear, random_semilinear
+from galois_moebius.pgammal import Mat2, Semilinear, random_semilinear, twisted_product
 from galois_moebius.polyring import (
     Poly,
     frobenius_poly,
@@ -153,6 +154,26 @@ def test_census_rejects_entries_outside_the_level(t212):
     g = Semilinear(Mat2(t212, 2, 1, 1, 0), 2)
     with pytest.raises(DomainError):
         census(g, [2], level=t212.mid)
+
+
+def test_census_rejects_a_level_of_another_tower(t212, t312):
+    # an F_4 element used to be censused over F_9, its entries read as F_9 codes
+    g = Semilinear(Mat2(t212, 0, 1, 1, 0), 1)
+    with pytest.raises(LevelMismatch):
+        census(g, [1], level=t312.top)
+
+
+def test_census_rejects_a_level_name(t212):
+    # the name of a level is no level: "top" used to leak an AttributeError
+    g = Semilinear(Mat2(t212, 0, 1, 1, 0), 1)
+    with pytest.raises(LevelMismatch):
+        census(g, [1], level="top")
+
+
+def test_is_invariant_rejects_a_coefficient_list(t212):
+    # a bare list used to leak an AttributeError
+    with pytest.raises(DomainError):
+        is_invariant(Mat2(t212, 0, 1, 1, 0), [1, 1])
 
 
 SOLVER_TOWERS = ((2, 1, 2), (2, 1, 3), (3, 1, 2), (5, 1, 2), (2, 2, 2), (2, 1, 4))
@@ -325,6 +346,69 @@ def test_census_checks_only_the_eigenvalues_when_sigma_is_trivial(monkeypatch):
     assert len(solves) <= 2
     want = sorted((Poly(level, [level.neg(r), 1]) for r in fixed), key=Poly.lex_key)
     assert list(got) == want
+
+
+def _bound_calls(monkeypatch, level, name, bound=20_000):
+    # fail fast once the census makes more calls than a walk over F_Q* would
+    # leave room for
+    op = getattr(level, name)
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        if calls[0] > bound:
+            raise AssertionError(f"more than {bound} calls of level.{name}")
+        return op(*args)
+
+    monkeypatch.setattr(level, name, counted)
+
+
+def test_census_over_f65536_with_sigma_of_order_2_walks_no_scalars(monkeypatch):
+    # frob = 1 has order 2 on F_65536: each norm value is one eigenspace,
+    # not a walk over the 65535 scalars of the level
+    tower = gm.build_tower(2, 8, 2)
+    level = tower.top
+    mul, add, frob = level.mul, level.add, level.frob
+    elements = [Semilinear(Mat2(tower, *e), 1) for e in ((1, 2, 3, 4), (5, 7, 11, 13))]
+    brute = []
+    for g in elements:
+        # x + r goes to x + (sigma(r)*d + b) / (sigma(r)*c + a)
+        a, b, c, d = g.mat.entries
+        brute.append(
+            [
+                Poly(level, [r, 1])
+                for r in level.elements_lex()
+                if add(mul(frob(r, 1), c), a)
+                and mul(r, add(mul(frob(r, 1), c), a)) == add(mul(frob(r, 1), d), b)
+            ]
+        )
+    assert any(brute)
+    _bound_calls(monkeypatch, level, "frob")
+    for g, want in zip(elements, brute):
+        report = census(g, [1, 2, 3], budget=level.size**3)
+        assert list(report.entries[0].polynomials) == want
+
+
+def test_census_on_a_2_24_level_walks_no_scalars(monkeypatch):
+    # F_(2**24) over F_4096: frob = 1 has order 2, frob = 2 is trivial.  A
+    # degree-1 fixed x - r has r fixed by the twisted product B, one of the
+    # roots of c*x**2 + (d - a)*x - b for B = [[a, b], [c, d]]
+    tower = gm.build_tower(2, 12, 2)
+    level = tower.top
+    mat = Mat2(tower, 5, 7, 11, 13)
+    wants = {}
+    for frob in (1, 2):
+        g = Semilinear(mat, frob)
+        a, b, c, d = twisted_product(mat, 2 // frob, frob).entries
+        roots = polyring._roots(level, [level.neg(b), level.sub(d, a), c])
+        assert roots and c  # B is no scalar, and fixes some points
+        lin = [Poly(level, [level.neg(r), 1]) for r in roots]
+        wants[frob] = sorted((f for f in lin if is_invariant(g, f)), key=Poly.lex_key)
+    _bound_calls(monkeypatch, level, "mul")
+    _bound_calls(monkeypatch, level, "frob")
+    for frob, want in wants.items():
+        got = census(Semilinear(mat, frob), [1]).entries[0].polynomials
+        assert list(got) == want, frob
 
 
 @pytest.mark.parametrize("params, k", [((2, 1, 3), 5), ((3, 1, 2), 4)])

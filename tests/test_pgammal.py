@@ -6,6 +6,7 @@ import galois_moebius as gm
 from galois_moebius.errors import (
     DegreeTooLarge,
     DomainError,
+    LevelMismatch,
     SingularMatrix,
     ZeroDenominator,
 )
@@ -131,6 +132,19 @@ def test_moebius_act_degree_collapse(t212):
     with pytest.raises(DomainError):
         moebius_act(A, f)
     assert moebius_act(A, f, strict=False) is None
+
+
+def test_moebius_act_rejects_a_poly_of_another_tower(t212, t312):
+    # an F_9 polynomial used to be acted on by an F_4 matrix, its codes read
+    # in the wrong field
+    with pytest.raises(LevelMismatch):
+        moebius_act(Mat2(t212, 0, 1, 1, 0), Poly(t312.top, [1, 1]))
+
+
+def test_moebius_act_rejects_a_coefficient_list(t212):
+    # a bare list used to leak an AttributeError
+    with pytest.raises(DomainError):
+        moebius_act(Mat2(t212, 0, 1, 1, 0), [1, 1])
 
 
 def test_semilinear_group_axioms(t214):

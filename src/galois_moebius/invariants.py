@@ -1,4 +1,4 @@
-"""Polynomials fixed by the twisted projective action, four ways.
+"""Polynomials fixed by the twisted projective action.
 
 * census: every fixed monic irreducible of a degree, from the
   fixed-point equations: the substitution table of the element maps
@@ -8,24 +8,22 @@
   is re-verified through the action itself.  Free of the enumeration's
   degree theory, so it doubles as the ground truth the fast route is
   tested against.
-* enumerate_invariants: the production path.  The degree arithmetic of a
-  group element singles out a handful of sparse "fixing polynomials" of
-  degree about q**s + 1 whose degree-k irreducible factors are exactly the
-  fixed polynomials of degree k = D*s, so factoring those recovers the
-  invariant set without scanning.
-* pure Frobenius elements: a scalar matrix with sigma_i fixes exactly
-  the degree-k irreducibles over the fixed field F_(q**t) of sigma_i,
-  t = gcd(i, n), when gcd(k, n/t) = 1, and none otherwise.  Census and
+* enumerate_invariants: the production path, without scanning.  A
+  scalar matrix with sigma_i (a pure Frobenius) fixes exactly the
+  degree-k irreducibles over the fixed field F_(q**t) of sigma_i,
+  t = gcd(i, n), when gcd(k, n/t) = 1, and none otherwise; census and
   enumeration both take that set from _pure_frobenius_fixed, one sieve
-  over the fixed field's codes (the cached listing when t = n).
+  over the fixed field's codes.  An element whose twisted product is
+  projectively trivial (D = 1) is conjugate to a pure Frobenius by
+  Hilbert 90, so its fixed set is that sieve's image under one Moebius
+  map (_conjugator).  For D > 1 a handful of sparse "fixing polynomials"
+  of degree about q**s + 1 have the fixed polynomials of degree k = D*s
+  as their degree-k irreducible factors, found by DDF and EDF.
 * counting formulas and listings for the two classical families:
-  conjugate self-reciprocal polynomials over F_(q**2) (fixed by the
-  inverting matrix [[0,1],[1,0]] with one Frobenius twist) and plain
-  self-reciprocal polynomials over F_q.  Neither listing scans
-  candidates: the first family is the Moebius image, under a Cayley
-  matrix, of the irreducibles over F_q that the sieve lists, and the
-  second is tested only on the images x**m * g(x + 1/x) of the
-  irreducibles g of half the degree.
+  conjugate self-reciprocal polynomials over F_(q**2), the fixed set of
+  the D = 1 element [[0,1],[1,0]] sigma, listed by the same conjugation,
+  and plain self-reciprocal polynomials over F_q, tested only on the
+  images x**m * g(x + 1/x) of the irreducibles g of half the degree.
 * structural cross-checks: lift_check ties invariance over the top field
   to a norm polynomial living over the middle field, and
   involution_ratio_check verifies the 2:1 count relation between the
@@ -221,7 +219,7 @@ def plan_enumeration(g, degree: int, cap: int | None = DEFAULT_ENUM_CAP) -> Enum
     return plan(s, shifts, tuple(twists), True, "")
 
 
-def _pure_frobenius_fixed(level, frob: int, k: int) -> tuple[Poly, ...]:
+def _pure_frobenius_fixed(level, frob: int, k: int, move=None) -> tuple[Poly, ...]:
     """The monic irreducibles of degree k over the level fixed by a scalar
     matrix with sigma_frob, in lexicographic order.  On a level of Galois
     degree n, sigma_frob fixes F_(q**t), t = gcd(frob, n), so the fixed f
@@ -229,37 +227,66 @@ def _pure_frobenius_fixed(level, frob: int, k: int) -> tuple[Poly, ...]:
     F_(q**t) stays irreducible over the level exactly when
     gcd(k, n/t) = 1, so the set is empty or the sieve's listing over the
     fixed field's codes: the base level's for t = 1, the cached listing
-    of the level itself for t = n."""
+    of the level itself for t = n.  With a matrix move, the set's Moebius
+    image under it instead, made monic and sorted: one substitution table,
+    one product per member as the sieve lists it, and no irreducibility
+    test (an image of an irreducible of degree >= 2 is irreducible)."""
     n = level.gal_degree
     t = gcd(frob, n)
     if gcd(k, n // t) > 1:
         return ()
     if t == n:
-        return tuple(Poly(level, cs) for cs in polyring.monic_irreducibles(level, k))
-    if t == 1:
-        subfield = level.base.elements_lex()
+        listing = polyring.monic_irreducibles(level, k)
     else:
-        subfield = [a for a in level.elements_lex() if level.frob(a, t) == a]
-    return tuple(Poly(level, (*tail, 1)) for tail in polyring._sieve(level, k, subfield))
+        subfield = level.base.elements_lex() if t == 1 else [
+            a for a in level.elements_lex() if level.frob(a, t) == a
+        ]
+        listing = ((*tail, 1) for tail in polyring._sieve(level, k, subfield))
+    if move is None:
+        return tuple(Poly(level, cs) for cs in listing)
+    T = _substitution_rows(level, move, k)
+    out = []
+    for cs in listing:
+        image = [reduce(level.add, map(level.mul, row, cs)) for row in T]
+        lead = level.inv(image[-1])
+        out.append(Poly(level, [level.mul(lead, x) for x in image]))
+    return tuple(sorted(out, key=Poly.lex_key))
 
 
-def enumerate_invariants(
-    g, degree: int, cap: int | None = DEFAULT_ENUM_CAP, seed: int = 0
-) -> tuple[Poly, ...]:
-    """All monic irreducible polynomials of the given degree (> 2, with
-    degree/D > 2) fixed by g, found by factoring twisted fixing
-    polynomials rather than scanning.
+def _conjugator(g: Semilinear, seed: int = 0) -> Mat2:
+    """An H with sigma_t(H)**-1 * A * H scalar: [H, id] conjugates
+    g = [A, sigma_t], t | n, to the pure Frobenius sigma_t when A's twisted
+    product over m = n/t steps is a scalar c (D = 1).  Psi(X) =
+    sigma**-t(A * X) has Psi**m = c, so Phi = mu * Psi, N(mu) = 1/c (the
+    norm to F_Q0, Q0 = q**t), has Phi**m = 1 and fixes H * M_2(F_Q0) for
+    one H (Hilbert 90): a random X's trace sum(Phi**j(X), j < m) is
+    invertible with probability >= 3/8."""
+    tower, t = g.tower, g.frob
+    top, add, mul = tower.top, tower.top.add, tower.top.mul
+    Q0, m = tower.q**t, tower.n // t
+    # N(gen**i) = eta**i, so the i with eta**i = 1/c gives mu = gen**i
+    gen = top._generator()
+    eta = top.pow(gen, (top.size - 1) // (Q0 - 1))
+    target, norm, i = top.inv(twisted_product(g.mat, m, t).a), 1, 0
+    while norm != target:
+        norm, i = mul(norm, eta), i + 1
+    a, b, c, d = g.mat.frobenius(-t).scaled(top.pow(gen, i)).entries
+    # Phi on the entries of X, row major: (mu * sigma**-t(A)) * sigma**-t(X)
+    R = [[a, 0, b, 0], [0, a, 0, b], [c, 0, d, 0], [0, c, 0, d]]
+    rng, det = random.Random(seed), 0
+    while not det:
+        h = u = [rng.randrange(top.size) for _ in range(4)]
+        for _ in range(1, m):
+            u = [reduce(add, map(mul, row, [top.frob(x, -t) for x in u])) for row in R]
+            h = list(map(add, h, u))
+        det = top.sub(mul(h[0], h[3]), mul(h[1], h[2]))
+    return Mat2(tower, *h)
 
-    An element that is projectively a pure Frobenius sigma_t needs no
-    fixing polynomial: its fixed set is _pure_frobenius_fixed's."""
-    g = _as_semilinear(g)
-    plan = plan_enumeration(g, degree, cap=cap)
-    if not plan.feasible:
-        return ()
-    level = g.tower.top
-    t, s = plan.frob_index, plan.s
-    if plan.pure_frobenius:
-        return _pure_frobenius_fixed(level, t, degree)
+
+def _factored_fixed(g: Semilinear, plan: EnumerationPlan, cap, seed: int):
+    """Fix(g) from the degree-k irreducible factors of the plan's twisted
+    fixing polynomials that the action fixes, one DDF and EDF per twist."""
+    level, degree, t, s = g.tower.top, plan.degree, plan.frob_index, plan.s
     rng = random.Random(seed)
     found: dict[tuple[int, ...], Poly] = {}
     for j in plan.twists:
@@ -269,12 +296,32 @@ def enumerate_invariants(
             if d != degree:
                 continue
             for fac in polyring._edf(level, part, d, rng):
-                key = tuple(fac)
-                if key not in found:
-                    cand = Poly(level, fac)
-                    if is_invariant(g, cand):
-                        found[key] = cand
+                cand = Poly(level, fac)
+                if cand.coeffs not in found and is_invariant(g, cand):
+                    found[cand.coeffs] = cand
     return tuple(sorted(found.values(), key=Poly.lex_key))
+
+
+def enumerate_invariants(
+    g, degree: int, cap: int | None = DEFAULT_ENUM_CAP, seed: int = 0
+) -> tuple[Poly, ...]:
+    """All monic irreducible polynomials of the given degree (> 2, with
+    degree/D > 2) fixed by g, in lexicographic order, without scanning: a
+    pure Frobenius sigma_t from _pure_frobenius_fixed, any other D = 1
+    element by conjugation to one (each result re-verified through the
+    action), D > 1 by factoring twisted fixing polynomials."""
+    g = _as_semilinear(g)
+    plan = plan_enumeration(g, degree, cap=cap)
+    if not plan.feasible:
+        return ()
+    if plan.factor_order > 1:
+        return _factored_fixed(g, plan, cap, seed)
+    # D = 1: a pure Frobenius sigma_t, or conjugate to one by [H, id]
+    move = None if plan.pure_frobenius else _conjugator(plan.reduced, seed).inv()
+    found = _pure_frobenius_fixed(g.tower.top, plan.frob_index, degree, move)
+    if move is not None and not all(is_invariant(g, f) for f in found):
+        raise InternalInvariantError("a conjugated fixed polynomial failed re-verification")
+    return found
 
 
 # --- census ----------------------------------------------------------
@@ -598,37 +645,15 @@ def _scrim_irreducibles(tower: FieldTower, degree: int):
                 yield Poly(top, coeffs)
 
 
-def _cayley(tower: FieldTower) -> Mat2:
-    """h = [[1, w], [1, w**q]], w the top generator over the middle field
-    (code q).  On a quadratic tower h * [[0,1],[1,0]] sigma * h**-1 is
-    the pure Frobenius [I, sigma], so h**-1 maps the polynomials fixed by
-    sigma alone onto the conjugate self-reciprocal family."""
-    w = tower.q
-    return Mat2(tower, 1, w, 1, tower.frobenius(w, 1))
-
-
 def scrim_polynomials(tower: FieldTower, degree: int) -> tuple[Poly, ...]:
     """All conjugate self-reciprocal monic irreducibles of the given odd
-    degree over the tower top F_(q**2), in lexicographic order.
-
-    The family is the fixed set of [[0,1],[1,0]] sigma, which the Cayley
-    matrix h conjugates to [I, sigma]; so it is h**-1 applied to the
-    monic irreducibles over F_q, which the sieve lists (an odd degree
-    stays irreducible over F_(q**2)).  A Moebius image of an irreducible
-    of degree >= 2 is irreducible of the same degree, so no candidate is
-    tested: each image is one product with the substitution table of
-    h**-1, made monic."""
+    degree over the tower top F_(q**2), in lexicographic order: the fixed
+    set of [[0,1],[1,0]] sigma (D = 1), moved from the pure Frobenius
+    sigma's by _conjugator, without an enumeration plan or its cap.  An
+    odd degree stays irreducible over F_(q**2), so nothing is tested."""
     _check_scrim_args(tower, degree)
-    top = tower.top
-    add, mul, inv = top.add, top.mul, top.inv
-    T = _substitution_rows(top, _cayley(tower).inv(), degree)
-    out = []
-    for tail in polyring._sieve(tower.mid, degree, tower.mid.elements_lex()):
-        cs = (*tail, 1)
-        image = [reduce(add, map(mul, row, cs)) for row in T]
-        lead = inv(image[-1])
-        out.append(Poly(top, [mul(lead, c) for c in image]))
-    return tuple(sorted(out, key=Poly.lex_key))
+    swap = Semilinear(Mat2(tower, 0, 1, 1, 0), 1)
+    return _pure_frobenius_fixed(tower.top, 1, degree, _conjugator(swap).inv())
 
 
 def construct_scrim(tower: FieldTower, degree: int) -> tuple[Poly, Poly]:

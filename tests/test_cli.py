@@ -91,6 +91,30 @@ def test_invariants_plan_json(capsys):
     }
 
 
+def test_invariants_swap_at_degree_13_keeps_its_plan(capsys):
+    # the conjugation route lists the fixed set, the plan still reports
+    # the fixing polynomial the factoring route would have used
+    code, out, _ = run(
+        capsys,
+        "invariants", "--p", "2", "--e", "1", "--n", "2", "--matrix", "0;1;1;0",
+        "--frob", "1", "--degree", "13", "--method", "enum", "--output", "json",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["params"]["method"] == "enum"
+    assert doc["result"]["plan"] == {
+        "factor_order": 1,
+        "feasible": True,
+        "frob_index": 1,
+        "reason": "",
+        "s": 13,
+        "shifts": [7],
+        "span": 2,
+        "twists": [1],
+    }
+    assert doc["result"]["count"] == len(doc["result"]["polynomials"]) == 630
+
+
 def test_invariants_pure_frobenius_within_cap(capsys):
     cases = [
         # [I, sigma] over F_9 at degree 5: the F_3 irreducibles, 3**5 candidates

@@ -37,7 +37,13 @@ from galois_moebius.invariants import (
     srim_count,
     srim_polynomials,
 )
-from galois_moebius.pgammal import Mat2, Semilinear, random_semilinear, twisted_product
+from galois_moebius.pgammal import (
+    Mat2,
+    Semilinear,
+    random_semilinear,
+    reduce_frobenius_index,
+    twisted_product,
+)
 from galois_moebius.polyring import (
     Poly,
     frobenius_poly,
@@ -242,6 +248,70 @@ def test_census_solver_matches_is_invariant(case):
         else:
             assert want <= set(got), i
             assert all(is_invariant(g, Poly(level, cs)) for cs in got), i
+
+
+# F_4, F_8, F_9, F_16 = (2,2,2) and (2,1,4), F_25, F_27, F_64 = (2,1,6)
+D1_TOWERS = (
+    (2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2), (2, 1, 4), (5, 1, 2), (3, 1, 3), (2, 1, 6)
+)
+
+
+@st.composite
+def d1_elements(draw):
+    """A non-scalar element whose twisted product is projectively trivial
+    (D = 1), drawn as a conjugate h**-1 [c*I, sigma_i] h of a pure
+    Frobenius, i < n; by Hilbert 90 every D = 1 element is one."""
+    tower = gm.build_tower(*draw(st.sampled_from(D1_TOWERS)))
+    Q = tower.top.size
+    c = draw(st.integers(1, Q - 1))
+    i = draw(st.integers(1, tower.n - 1))
+    try:
+        h = Semilinear(Mat2(tower, *(draw(st.integers(0, Q - 1)) for _ in range(4))))
+    except SingularMatrix:
+        assume(False)
+    g = h.inverse() * Semilinear(Mat2(tower, c, 0, 0, c), i) * h
+    assume(not g.mat.is_scalar())
+    return g
+
+
+@settings(max_examples=40, deadline=None)
+@given(d1_elements())
+def test_d1_enumeration_matches_factoring_and_census(g):
+    # the conjugation route against the factoring it replaced (fixing
+    # polynomials of degree at most 2**9 + 1: at 2**10 + 1 one DDF/EDF
+    # takes 1-3 s) and against the census where Q**k <= 2**16
+    tower = g.tower
+    reduced = reduce_frobenius_index(g)
+    for k in range(3, 8):
+        plan = plan_enumeration(g, k, cap=None)
+        assert plan.factor_order == 1 and not plan.pure_frobenius
+        if not plan.feasible or plan.base_power**k > 1 << 9:
+            continue
+        got = enumerate_invariants(g, k)
+        assert got == invariants._factored_fixed(g, plan, None, 0), k
+        if tower.top.size**k <= 1 << 16:
+            assert got == census(g, [k]).entries[0].polynomials, k
+    h = Semilinear(invariants._conjugator(reduced))
+    conj = h * reduced * h.inverse()
+    assert conj.frob == reduced.frob == gcd(g.frob, tower.n)
+    assert conj.mat.is_scalar()
+
+
+def test_d1_enumeration_factors_nothing(monkeypatch, t212, t214):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a D = 1 element went through a fixing polynomial")
+
+    monkeypatch.setattr(polyring, "_ddf", refuse)
+    monkeypatch.setattr(invariants, "fixing_polynomial_twisted", refuse)
+    swap = enumerate_invariants(Semilinear(Mat2(t212, 0, 1, 1, 0), 1), 13)
+    assert len(swap) == 630
+    assert swap == scrim_polynomials(t212, 13)
+    # a conjugate of [I, sigma_2] over F_16 fixes the images of the
+    # degree-7 irreducibles over F_4 (a fixing polynomial of degree 4**7 + 1)
+    h = Semilinear(Mat2(t214, 1, 2, 3, 4))
+    g = h.inverse() * Semilinear(Mat2.identity(t214), 2) * h
+    assert not g.mat.is_scalar()
+    assert len(enumerate_invariants(g, 7, cap=None)) == polyring.count_irreducibles(4, 7)
 
 
 def test_census_of_a_nontrivial_element_lists_nothing(monkeypatch, t212):
@@ -512,9 +582,11 @@ def _tower_id(spec):
 
 @pytest.mark.parametrize("spec", QUADRATIC_TOWERS, ids=_tower_id)
 def test_cayley_conjugates_the_swap_to_the_pure_frobenius(spec):
+    # the conjugator found for the swap plays the part of a Cayley matrix
     tower = gm.build_tower(*spec[0], **spec[1])
-    h = Semilinear(invariants._cayley(tower), 2)
-    conj = h * Semilinear(Mat2(tower, 0, 1, 1, 0), 1) * h.inverse()
+    swap = Semilinear(Mat2(tower, 0, 1, 1, 0), 1)
+    h = Semilinear(invariants._conjugator(swap), 2)
+    conj = h * swap * h.inverse()
     assert conj.frob == 1
     assert conj.mat.proj_eq(Mat2.identity(tower))
 

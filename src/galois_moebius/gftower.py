@@ -31,6 +31,8 @@ shared caches.
 
 from __future__ import annotations
 
+from itertools import compress
+
 from . import polyring
 from .errors import (
     DegreeMismatch,
@@ -72,6 +74,8 @@ class Level:
         # context, built by polyring on the first long operand
         self._packing = None
         self._barrett = None
+        # c -> c**p, built by polyring._frobenius_map
+        self._pth = None
 
     # --- encoding ---------------------------------------------------
 
@@ -121,6 +125,8 @@ class Level:
 
             self.neg = _neg
             if size <= _ROW_CAP:
+                # row levels negate by table lookup
+                self.neg = list(map(_neg, range(size))).__getitem__
                 self._add_rows = [None] * size
 
                 def _add(a, b, _rows=self._add_rows, _build=self._build_add_row):
@@ -236,9 +242,9 @@ class Level:
 
     def _install_poly_ops(self):
         # each kind has its own product and one in-place long division of r
-        # by a monic m of degree dm (body = m[:-1]): step i reads r[i] and
-        # writes only below it, so the remainder is left in r[:dm] and the
-        # quotient in r[dm:]
+        # by a monic m of degree dm, given as its pairs (j, m[j] != 0), j < dm:
+        # step i reads r[i] and writes only below it, so the remainder is
+        # left in r[:dm] and the quotient in r[dm:]
         if self._mul_rows is not None and self.p == 2:
             rows = self._mul_rows
             build = self._build_mul_row
@@ -255,7 +261,7 @@ class Level:
                                 res[i + j] ^= row[b]
                 return res
 
-            def divide(r, dm, body, _rows=rows, _build=build):
+            def divide(r, dm, pairs, _rows=rows, _build=build):
                 for i in range(len(r) - 1, dm - 1, -1):
                     c = r[i]
                     if c:
@@ -263,9 +269,8 @@ class Level:
                         if row is None:
                             row = _build(c)
                         off = i - dm
-                        for j, b in enumerate(body):
-                            if b:
-                                r[off + j] ^= row[b]
+                        for j, b in pairs:
+                            r[off + j] ^= row[b]
 
         elif self._mul_rows is not None and self._add_rows is not None:
             mrows, arows = self._mul_rows, self._add_rows
@@ -292,7 +297,7 @@ class Level:
                                     res[i + j] = t
                 return res
 
-            def divide(r, dm, body):
+            def divide(r, dm, pairs):
                 for i in range(len(r) - 1, dm - 1, -1):
                     c = r[i]
                     if c:
@@ -301,17 +306,16 @@ class Level:
                         if mrow is None:
                             mrow = mbuild(nc)
                         off = i - dm
-                        for j, b in enumerate(body):
-                            if b:
-                                t = mrow[b]
-                                cur = r[off + j]
-                                if cur:
-                                    arow = arows[cur]
-                                    if arow is None:
-                                        arow = abuild(cur)
-                                    r[off + j] = arow[t]
-                                else:
-                                    r[off + j] = t
+                        for j, b in pairs:
+                            t = mrow[b]
+                            cur = r[off + j]
+                            if cur:
+                                arow = arows[cur]
+                                if arow is None:
+                                    arow = abuild(cur)
+                                r[off + j] = arow[t]
+                            else:
+                                r[off + j] = t
 
         else:
             add, mul = self.add, self.mul
@@ -326,21 +330,30 @@ class Level:
                                 res[i + j] = add(res[i + j], mul(a, b))
                 return res
 
-            def divide(r, dm, body):
+            def divide(r, dm, pairs):
                 for i in range(len(r) - 1, dm - 1, -1):
                     c = r[i]
                     if c:
                         off = i - dm
-                        for j, b in enumerate(body):
-                            if b:
-                                r[off + j] = sub(r[off + j], mul(c, b))
+                        for j, b in pairs:
+                            r[off + j] = sub(r[off + j], mul(c, b))
+
+        # the last modulus with its nonzero terms, as one tuple: a powering
+        # ladder or a Frobenius map divides by one modulus many times
+        last = [None]
+
+        def terms(m, dm):
+            got = last[0]
+            if got is None or m != got[0]:
+                got = last[0] = (list(m), [*compress(enumerate(m), m[:dm])])
+            return got[1]
 
         def poly_divmod_monic(f, m):
             dm = len(m) - 1
             r = polyring._trim(list(f))
             if len(r) <= dm:
                 return [], r
-            divide(r, dm, m[:-1])
+            divide(r, dm, terms(m, dm))
             q = r[dm:]
             del r[dm:]
             return q, polyring._trim(r)
@@ -352,7 +365,7 @@ class Level:
             while r and not r[-1]:
                 r.pop()
             if len(r) > dm:
-                divide(r, dm, m[:-1])
+                divide(r, dm, terms(m, dm))
                 del r[dm:]
                 while r and not r[-1]:
                     r.pop()

@@ -16,9 +16,10 @@
   over the fixed field's codes.  An element whose twisted product is
   projectively trivial (D = 1) is conjugate to a pure Frobenius by
   Hilbert 90, so its fixed set is that sieve's image under one Moebius
-  map (_conjugator).  For D > 1 a handful of sparse "fixing polynomials"
-  of degree about q**s + 1 have the fixed polynomials of degree k = D*s
-  as their degree-k irreducible factors, found by DDF and EDF.
+  map (_conjugator).  For D > 1 a handful of four-term "fixing
+  polynomials" of degree about q**s + 1 have the fixed polynomials of
+  degree k = D*s as their degree-k irreducible factors, split off by a
+  Frobenius ladder with no DDF and an EDF with one trace per draw.
 * counting formulas and listings for the two classical families:
   conjugate self-reciprocal polynomials over F_(q**2), the fixed set of
   the D = 1 element [[0,1],[1,0]] sigma, listed by the same conjugation,
@@ -285,20 +286,23 @@ def _conjugator(g: Semilinear, seed: int = 0) -> Mat2:
 
 def _factored_fixed(g: Semilinear, plan: EnumerationPlan, cap, seed: int):
     """Fix(g) from the degree-k irreducible factors of the plan's twisted
-    fixing polynomials that the action fixes, one DDF and EDF per twist."""
+    fixing polynomials that the action fixes.  The degree-k part and the
+    EDF's traces come from the Q-power map modulo the four-term F_j, a
+    spread and a sparse remainder per round (polyring._frobenius_map)."""
     level, degree, t, s = g.tower.top, plan.degree, plan.frob_index, plan.s
     rng = random.Random(seed)
     found: dict[tuple[int, ...], Poly] = {}
     for j in plan.twists:
         target = fixing_polynomial_twisted(plan.reduced.mat, j, j + s, step=t, cap=cap)
         coeffs = list(target.monic().coeffs)
-        for d, part in polyring._ddf(level, coeffs, max_degree=degree):
-            if d != degree:
-                continue
-            for fac in polyring._edf(level, part, d, rng):
-                cand = Poly(level, fac)
-                if cand.coeffs not in found and is_invariant(g, cand):
-                    found[cand.coeffs] = cand
+        qpow = polyring._frobenius_map(level, coeffs)
+        part = polyring._degree_part(level, coeffs, degree, qpow)
+        if len(part) == 1:
+            continue
+        for fac in polyring._edf(level, part, degree, rng, qpow):
+            cand = Poly(level, fac)
+            if cand.coeffs not in found and is_invariant(g, cand):
+                found[cand.coeffs] = cand
     return tuple(sorted(found.values(), key=Poly.lex_key))
 
 

@@ -8,26 +8,17 @@ tower the level is, so the same code factors over F_2, F_81 or an
 on-demand splitting field.
 
 Factorization is squarefree decomposition, then distinct-degree splitting,
-then equal-degree splitting (trace maps in characteristic 2, the
-(Q**d - 1)/2 power map otherwise).  The equal-degree stage draws from a
+then equal-degree splitting with one trace per random draw, drawn from a
 local random.Random seeded by the caller, so runs are reproducible and
 concurrent calls never share state.
 
-Products modulo a modulus of more than _PACK_CUTOVER coefficients run
-packed; _mulmod makes that choice for the powering ladder of _powmod
-(the Frobenius rounds of _ddf, _irreducible and _roots, and the odd-p
-power map of _edf) and for the characteristic-2 trace loop of _edf.
-Packed, each polynomial becomes one int, CPython's bigint multiply does
-the product (Kronecker substitution), and a Barrett remainder with a
-precomputed inverse of the reversed modulus reduces it.
-The level's packing tables are built on the first such product, and
-levels whose tables would exceed _TABLE_CAP entries keep schoolbook.
-Everything else stays schoolbook, on the level's own poly_mul and its
-long division loop: short moduli (a census never gets near the cut-over,
-and there a packed product costs more than it saves) and gcds through
-poly_rem_monic, and the exact divisions of the squarefree, distinct- and
-equal-degree stages through poly_divmod_monic, which hands back the
-quotient the loop leaves behind.
+Products modulo more than _PACK_CUTOVER coefficients run packed (_mulmod):
+one bigint product of Kronecker-packed ints and a Barrett remainder with a
+precomputed inverse of the reversed modulus.  Levels whose packing tables
+would exceed _TABLE_CAP entries keep schoolbook, and so do short moduli,
+where packing costs more than it saves.  Gcds, exact divisions and the
+Q-power map modulo a sparse fixing polynomial (_frobenius_map) run on the
+level's own long division loop.
 """
 
 from __future__ import annotations
@@ -47,7 +38,7 @@ from .errors import (
     LevelMismatch,
     ZeroConstantTerm,
 )
-from .numtheory import divisors, moebius_mu, power, prime_power_split
+from .numtheory import divisors, factorize, moebius_mu, power, prime_power_split
 
 
 def _trim(c: list) -> list:
@@ -59,26 +50,23 @@ def _trim(c: list) -> list:
 def _monic(level, f):
     if f and f[-1] != 1:
         inv = level.inv(f[-1])
+        # through the multiplication row when the kernels have built it
+        row = level._mul_rows and level._mul_rows[inv]
+        if row:
+            return list(map(row.__getitem__, f))
         mul = level.mul
         f = [mul(inv, a) for a in f]
     return f
 
 
 def _add(level, f, g):
-    add = level.add
     if len(f) < len(g):
         f, g = g, f
-    out = list(f)
-    for i, a in enumerate(g):
-        out[i] = add(out[i], a)
-    return _trim(out)
+    return _trim([*map(level.add, f, g), *f[len(g):]])
 
 
 def _sub(level, f, g):
-    sub = level.sub
-    n = max(len(f), len(g))
-    out = [sub(f[i] if i < len(f) else 0, g[i] if i < len(g) else 0) for i in range(n)]
-    return _trim(out)
+    return _add(level, f, [level.neg(c) for c in g])
 
 
 def _divmod(level, f, g):
@@ -354,14 +342,62 @@ def _pth_root(level, f):
     return [pw(f[i], e) for i in range(0, len(f), p)]
 
 
+def _minus_x(level, h):
+    hx = h + [0] * (2 - len(h))
+    hx[1] = level.sub(hx[1], 1)
+    return _trim(hx)
+
+
 def _frobenius_round(level, h, f):
     """One step of the x**(Q**i) ladder modulo f: from h = x**(Q**i) mod f
     to h**Q mod f, returned with gcd(h**Q - x, f), the product of the
     distinct irreducible factors of f whose degree divides i + 1."""
     h = _powmod(level, h, level.size, f)
-    hx = h + [0] * (2 - len(h))
-    hx[1] = level.sub(hx[1], 1)
-    return h, _gcd(level, _trim(hx), f)
+    return h, _gcd(level, _minus_x(level, h), f)
+
+
+def _frobenius_map(level, m):
+    """h -> h**Q mod the monic m without multiplying: for Q = p**f, f
+    rounds of h -> sum(h_i**p * x**(i*p)), a spread by p and a remainder,
+    each about p * deg(m) long whatever Q is, and cheap for a sparse m."""
+    p, rounds, rem = level.p, level.flat_deg, level.poly_rem_monic
+    pth = level._pth
+    if pth is None:
+        pw = level.pow
+        pth = level._pth = (
+            [pw(c, p) for c in range(level.size)].__getitem__ if level._exp else lambda c: pw(c, p)
+        )
+
+    def qpow(h):
+        for _ in range(rounds):
+            if not h:
+                break
+            spread = [0] * ((len(h) - 1) * p + 1)
+            spread[::p] = map(pth, h)
+            h = rem(spread, m)
+        return h
+
+    return qpow
+
+
+def _degree_part(level, m, k, qpow):
+    """The product of the distinct irreducible factors of degree k of the
+    monic m, from the ladder x**(Q**i) mod m (qpow: h -> h**Q mod m):
+    gcd(x**(Q**k) - x, m) with gcd(x**(Q**(k/r)) - x, .) divided out for
+    each prime r | k."""
+    primes = factorize(k)
+    rungs = {}
+    h = level.poly_rem_monic([0, 1], m)
+    for i in range(1, k + 1):
+        h = qpow(h)
+        if i < k and k % i == 0 and k // i in primes:
+            rungs[i] = h
+    part = _gcd(level, _minus_x(level, h), m)
+    for h in rungs.values():
+        if len(part) == 1:
+            break
+        part = _exact_div(level, part, _gcd(level, _minus_x(level, h), part))
+    return part
 
 
 def _irreducible(level, f) -> bool:
@@ -415,17 +451,14 @@ def _squarefree_decomposition(level, f):
     return out
 
 
-def _ddf(level, f, max_degree=None):
-    """Distinct-degree split of a monic squarefree f.
-
-    Returns [(d, product of the irreducible factors of degree d)].  With
-    max_degree set, factors of larger degree are silently dropped.
-    """
+def _ddf(level, f):
+    """Distinct-degree split of a monic squarefree f: returns
+    [(d, product of the irreducible factors of degree d)]."""
     out = []
     rem = list(f)
     h = [0, 1]
     i = 1
-    while len(rem) - 1 >= 2 * i and (max_degree is None or i <= max_degree):
+    while len(rem) - 1 >= 2 * i:
         h, g = _frobenius_round(level, h, rem)
         if len(g) > 1:
             out.append((i, g))
@@ -435,61 +468,83 @@ def _ddf(level, f, max_degree=None):
             else:
                 break
         i += 1
-    d_rem = len(rem) - 1
-    if d_rem > 0 and (max_degree is None or d_rem <= max_degree):
-        out.append((d_rem, rem))
+    if len(rem) > 1:
+        out.append((len(rem) - 1, rem))
     return out
 
 
 _EDF_MAX_DRAWS = 200
 
 
-def _edf(level, f, d, rng):
+def _edf(level, f, d, rng, qpow=None):
     """Equal-degree split: f monic squarefree, every factor of degree d.
 
-    A draw splits a valid g with probability at least about 1/2, so
-    _EDF_MAX_DRAWS draws in a row that do not split, like a degree that d
-    does not divide, mean f was not of equal degree d.
+    Each draw takes one trace T = sum(r**(Q**i), i < d) through qpow, the
+    map h -> h**Q modulo a multiple of f (by default _powmod mod f).  T is
+    in F_Q modulo each factor, so every pending w splits by t = T mod w,
+    once per shift c: gcd(Tr(c*t), w) with Tr the trace to F_2 in
+    characteristic 2, gcd((t + c)**((Q-1)/2) - 1, w) for odd p (one shift
+    when d = 1, where T = r).  A draw separates two factors with
+    probability about 1/2 or more, so _EDF_MAX_DRAWS draws that leave a
+    part of degree above d mean f was not of equal degree d.
     """
     Q = level.size
-    work = [list(f)]
-    out = []
-    while work:
-        g = work.pop()
-        dg = len(g) - 1
-        if dg % d:
+    f = list(f)
+    if qpow is None:
+        def qpow(h):
+            return _powmod(level, h, Q, f)
+    rem, e = level.poly_rem_monic, Q.bit_length() - 1
+    shifts = [c for c in (1, 2, 4) if c < Q] if level.p == 2 else [0, 1, 2]
+    if d == 1:
+        del shifts[1:]
+    out, pending, draws = [], [f], 0
+    while True:
+        for w in pending:
+            if (len(w) - 1) % d:
+                raise InternalInvariantError(
+                    f"EDF input of degree {len(w) - 1} is not a product of degree-{d} factors"
+                )
+        out += [w for w in pending if len(w) - 1 == d]
+        pending = [w for w in pending if len(w) - 1 > d]
+        if not pending:
+            return out
+        if draws == _EDF_MAX_DRAWS:
             raise InternalInvariantError(
-                f"EDF input of degree {dg} is not a product of degree-{d} factors"
+                f"EDF found no split of a degree-{len(pending[0]) - 1} part in "
+                f"{_EDF_MAX_DRAWS} draws; its factors are not all of degree {d}"
             )
-        if dg == d:
-            out.append(g)
+        draws += 1
+        # r uniform modulo the product of the pending factors, not constant
+        T = h = _trim([rng.randrange(Q) for _ in range(sum(len(w) - 1 for w in pending))])
+        if len(T) < 2:
             continue
-        if level.p == 2:
-            mulmod = _mulmod(level, g)
-        for _ in range(_EDF_MAX_DRAWS):
-            r = _trim([rng.randrange(Q) for _ in range(dg)])
-            if len(r) < 2:
-                continue
-            if level.p == 2:
-                m = (Q.bit_length() - 1) * d
-                s = level.poly_rem_monic(list(r), g)
-                t = list(s)
-                for _ in range(m - 1):
-                    t = mulmod(t, t)
-                    s = _add(level, s, t)
-            else:
-                s = _sub(level, _powmod(level, r, (Q**d - 1) // 2, g), [1])
-            split = _gcd(level, s, g)
-            if 0 < len(split) - 1 < dg:
-                work.append(split)
-                work.append(_exact_div(level, g, split))
-                break
-        else:
-            raise InternalInvariantError(
-                f"EDF found no split of a degree-{dg} part in {_EDF_MAX_DRAWS} draws; "
-                f"its factors are not all of degree {d}"
-            )
-    return out
+        for _ in range(d - 1):
+            h = qpow(h)
+            T = _add(level, T, h)
+        T = rem(T, f)
+        work = [(w, T) for w in pending]
+        for c in shifts:
+            done = []
+            for w, t in work:
+                if len(w) - 1 > d:
+                    if len(t) >= len(w):
+                        t = rem(t, w)
+                    if level.p > 2:
+                        s = _powmod(level, _add(level, t, [c]), (Q - 1) // 2, w)
+                        s = _sub(level, s, [1])
+                    else:
+                        sq = _mulmod(level, w)
+                        y = s = [level.mul(c, a) for a in t] if c > 1 else t
+                        for _ in range(e - 1):
+                            y = sq(y, y)
+                            s = _add(level, s, y)
+                    g = _gcd(level, s, w)
+                    if 1 < len(g) < len(w):
+                        done += [(g, t), (_exact_div(level, w, g), t)]
+                        continue
+                done.append((w, t))
+            work = done
+        pending = [w for w, _ in work]
 
 
 def _factor(level, f, seed=0):

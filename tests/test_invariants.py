@@ -40,6 +40,7 @@ from galois_moebius.invariants import (
 from galois_moebius.pgammal import (
     Mat2,
     Semilinear,
+    fixing_polynomial_twisted,
     random_semilinear,
     reduce_frobenius_index,
     twisted_product,
@@ -278,8 +279,9 @@ def d1_elements(draw):
 @given(d1_elements())
 def test_d1_enumeration_matches_factoring_and_census(g):
     # the conjugation route against the factoring it replaced (fixing
-    # polynomials of degree at most 2**9 + 1: at 2**10 + 1 one DDF/EDF
-    # takes 1-3 s) and against the census where Q**k <= 2**16
+    # polynomials of degree at most 2**9 + 1: at 2**10 + 1 one
+    # _factored_fixed takes 0.4-0.7 s) and against the census where
+    # Q**k <= 2**16
     tower = g.tower
     reduced = reduce_frobenius_index(g)
     for k in range(3, 8):
@@ -295,6 +297,62 @@ def test_d1_enumeration_matches_factoring_and_census(g):
     conj = h * reduced * h.inverse()
     assert conj.frob == reduced.frob == gcd(g.frob, tower.n)
     assert conj.mat.is_scalar()
+
+
+@st.composite
+def factored_points(draw):
+    """An element with D > 1 and a degree 3..12 whose plan is feasible,
+    with fixing polynomials of degree at most 2**9 + 1: the first such
+    (element, degree) among random draws on the D1_TOWERS towers."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    while True:
+        tower = gm.build_tower(*rng.choice(D1_TOWERS))
+        Q = tower.top.size
+        try:
+            mat = Mat2(tower, *(rng.randrange(Q) for _ in range(4)))
+        except SingularMatrix:
+            continue
+        g = Semilinear(mat, rng.randrange(1, tower.n + 1))
+        for k in rng.sample(range(3, 13), 10):
+            try:
+                plan = plan_enumeration(g, k, cap=None)
+            except DegreeTooSmall:
+                continue
+            if plan.feasible and plan.factor_order > 1 and plan.base_power**plan.s <= 1 << 9:
+                return g, plan
+
+
+@settings(max_examples=12, deadline=None)
+@given(factored_points())
+def test_factored_enumeration_matches_full_factoring_and_census(point):
+    # the ladder route (degree-k part by gcds, one trace per EDF draw)
+    # against polyring.factor of each fixing polynomial: squarefree
+    # decomposition, a full DDF and the EDF's packed powering
+    g, plan = point
+    k = plan.degree
+    want = set()
+    for j in plan.twists:
+        F = fixing_polynomial_twisted(plan.reduced.mat, j, j + plan.s, step=plan.frob_index)
+        _, parts = polyring.factor(F)
+        want |= {f for f, _ in parts if f.degree == k and is_invariant(g, f)}
+    got = enumerate_invariants(g, k, cap=None)
+    assert got == tuple(sorted(want, key=Poly.lex_key))
+    if g.tower.top.size**k <= 1 << 16:
+        assert got == census(g, [k]).entries[0].polynomials
+
+
+def test_factored_enumeration_runs_no_ddf(monkeypatch, t212):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a fixing polynomial went through the DDF")
+
+    monkeypatch.setattr(polyring, "_ddf", refuse)
+    # the D = 5 element of the benchmark's F4-D5 slots at degree 15
+    g = Semilinear(Mat2(t212, 2, 3, 2, 0), 2)
+    plan = plan_enumeration(g, 15)
+    assert plan.factor_order == 5 and not plan.pure_frobenius
+    got = enumerate_invariants(g, 15)
+    assert len(got) == 16
+    assert all(f.degree == 15 and is_irreducible(f) and is_invariant(g, f) for f in got)
 
 
 def test_d1_enumeration_factors_nothing(monkeypatch, t212, t214):

@@ -3,9 +3,12 @@
 Each level installs its own poly_mul and one long division loop (row
 tables in characteristic 2, row tables plus addition rows for odd p, plain
 scalar calls above the row cap); the shared poly_rem_monic and
-poly_divmod_monic wrap that loop, and polyring's exact divisions and
-Poly.__divmod__ run on poly_divmod_monic.  Products modulo a long modulus go through
-polyring's packed kernel instead (Kronecker multiply, Barrett remainder).
+poly_divmod_monic wrap that loop, handing it the modulus' nonzero terms
+only, and polyring's exact divisions and Poly.__divmod__ run on
+poly_divmod_monic.  Products modulo a long modulus go through polyring's
+packed kernel instead (Kronecker multiply, Barrett remainder).  The
+Q-power map modulo a sparse fixing polynomial (polyring._frobenius_map)
+is checked against the packed powering.
 The oracle below uses only the level's scalar add, mul and sub, so it is
 independent of which kernel a level carries.
 """
@@ -119,6 +122,87 @@ def test_poly_divmod_with_a_non_monic_divisor(level, data):
     assert q * g + r == f
     assert r.degree < g.degree
     assert (f // g, f % g) == (q, r)
+
+
+def test_division_by_a_modulus_changed_in_place(level):
+    # the kernel keeps the last modulus' nonzero terms for its next call;
+    # the same list with other coefficients must not reuse them
+    rng = random.Random(level.size)
+    m = [rng.randrange(1, level.size) for _ in range(6)] + [1]
+    f = [rng.randrange(level.size) for _ in range(20)]
+    for j in (0, 3, 5):
+        assert level.poly_rem_monic(list(f), m) == school_rem_monic(level, f, m)
+        m[j] = 0
+        assert level.poly_divmod_monic(list(f), m)[1] == school_rem_monic(level, f, m)
+
+
+@pytest.mark.parametrize("tower", [(3, 1, 2), (5, 1, 2), (3, 1, 6), (7, 1, 3)])
+def test_row_level_negation_table(tower):
+    # odd-p row levels negate by table; every code must cancel its image
+    level = gm.build_tower(*tower).top
+    assert level._add_rows is not None
+    assert all(level.add(a, level.neg(a)) == 0 for a in range(level.size))
+
+
+def school_rem_sparse(level, f, m):
+    """school_rem_monic, skipping the modulus' zero terms (c * 0 = 0)."""
+    dm = len(m) - 1
+    r = _trim(list(f))
+    for i in range(len(r) - 1, dm - 1, -1):
+        c = r[i]
+        for j in range(dm + 1):
+            if m[j]:
+                r[i - dm + j] = level.sub(r[i - dm + j], level.mul(c, m[j]))
+    return _trim(r[:dm])
+
+
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_division_by_a_sparse_modulus_matches_schoolbook(level, data):
+    # a fixing polynomial's shape: x**dm plus two or three lower terms,
+    # by default at x**(dm-1), x and 1, and a dividend of p * dm
+    # coefficients, as in one round of the Frobenius map
+    dm = data.draw(st.integers(64, 600), label="modulus degree")
+    spots = data.draw(
+        st.one_of(st.just([dm - 1, 1, 0]), st.sets(st.integers(0, dm - 1), min_size=2, max_size=3)),
+        label="term positions",
+    )
+    m = [0] * dm + [1]
+    for j in spots:
+        m[j] = data.draw(st.integers(1, level.size - 1), label=f"coefficient {j}")
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="dividend seed"))
+    f = [rng.randrange(level.size) for _ in range(level.p * dm)]
+    want = school_rem_sparse(level, f, m)
+    assert level.poly_rem_monic(list(f), m) == want
+    q, r = level.poly_divmod_monic(list(f), m)
+    assert r == want
+    prod = level.poly_mul(q, m)
+    total = [level.add(a, b) for a, b in itertools.zip_longest(prod, r, fillvalue=0)]
+    assert _trim(total) == _trim(list(f))
+
+
+# (tower, E): Frobenius maps modulo x**(E+1) + a*x**E + d*x + b, one with
+# Q = 4096 far above E, where a spread by Q would hold 2**15 coefficients
+FROBENIUS_POINTS = [((2, 1, 2), 64), ((2, 2, 2), 64), ((3, 1, 2), 81), ((5, 1, 2), 125),
+                    ((2, 1, 3), 200), ((2, 1, 12), 8)]
+
+
+@pytest.mark.parametrize("tower, E", FROBENIUS_POINTS)
+def test_frobenius_map_matches_powmod(tower, E):
+    level = gm.build_tower(*tower).top
+    Q = level.size
+    rng = random.Random(E)
+    for _ in range(3):
+        F = [0] * (E + 2)
+        F[E + 1] = 1
+        for j in (E, 1, 0):
+            F[j] = rng.randrange(1, Q)
+        qpow = polyring._frobenius_map(level, F)
+        h = [rng.randrange(Q) for _ in range(E + 1)]
+        for _ in range(2):
+            want = polyring._powmod(level, h, Q, F)
+            h = qpow(h)
+            assert h == want
 
 
 # --- the packed kernel --------------------------------------------------

@@ -97,7 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cap-enum",
         type=int,
         default=DEFAULT_ENUM_CAP,
-        help="largest fixing polynomial degree the enumeration may factor",
+        help="largest enumeration size: (q**t)**s sieve candidates for D = 1, "
+        "fixing polynomial degree (q**t)**s + 1 for D > 1",
     )
     inv.add_argument(
         "--cap-census",

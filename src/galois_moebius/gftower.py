@@ -212,7 +212,10 @@ class Level:
     def _generator(self):
         """The least code that generates the multiplicative group.  A proper
         extension skips the base field's codes, which never generate; a low
-        code is a short polynomial, so the exp table's products are cheap."""
+        code is a short polynomial, so the exp table's products are cheap.
+        Searched once: the exp table, where there is one, keeps it."""
+        if self._exp is not None:
+            return self._exp[1]
         order = self.size - 1
         prime_parts = [order // r for r in factorize(order)] if order > 1 else []
         for cand in range(self.base.size if self.deg > 1 else 1, self.size):

@@ -16,10 +16,12 @@
   over the fixed field's codes.  An element whose twisted product is
   projectively trivial (D = 1) is conjugate to a pure Frobenius by
   Hilbert 90, so its fixed set is that sieve's image under one Moebius
-  map (_conjugator).  For D > 1 a handful of four-term "fixing
-  polynomials" of degree about q**s + 1 have the fixed polynomials of
-  degree k = D*s as their degree-k irreducible factors, split off by a
-  Frobenius ladder with no DDF and an EDF with one trace per draw.
+  map, the one through three of the element's own fixed points on the
+  projective line (_conjugator).  For D > 1 a handful of four-term
+  "fixing polynomials" of degree about q**s + 1 have the fixed
+  polynomials of degree k = D*s as their degree-k irreducible factors,
+  split off by a Frobenius ladder with no DDF and an EDF with one trace
+  per draw.
 * counting formulas and listings for the two classical families:
   conjugate self-reciprocal polynomials over F_(q**2), the fixed set of
   the D = 1 element [[0,1],[1,0]] sigma, listed by the same conjugation,
@@ -203,9 +205,9 @@ def plan_enumeration(g, degree: int, cap: int | None = DEFAULT_ENUM_CAP) -> Enum
     if gcd(s, span) != 1:
         return plan(s, (), (), False, f"degree/{D} = {s} shares a factor with {span}")
     if cap is not None:
-        # for a pure Frobenius element the cost is the sieve's one flag
-        # per candidate over the index-t subfield, not a fixing polynomial
-        work = base_power**s if pure else base_power**s + 1
+        # D = 1 costs the sieve's one flag per candidate over the index-t
+        # subfield; D > 1 a fixing polynomial of degree base_power**s + 1
+        work = base_power**s if D == 1 else base_power**s + 1
         if work > cap:
             raise DegreeTooLarge(
                 f"enumeration size {work} exceeds the cap {cap}; "
@@ -254,34 +256,28 @@ def _pure_frobenius_fixed(level, frob: int, k: int, move=None) -> tuple[Poly, ..
     return tuple(sorted(out, key=Poly.lex_key))
 
 
-def _conjugator(g: Semilinear, seed: int = 0) -> Mat2:
+def _conjugator(g: Semilinear) -> Mat2:
     """An H with sigma_t(H)**-1 * A * H scalar: [H, id] conjugates
     g = [A, sigma_t], t | n, to the pure Frobenius sigma_t when A's twisted
-    product over m = n/t steps is a scalar c (D = 1).  Psi(X) =
-    sigma**-t(A * X) has Psi**m = c, so Phi = mu * Psi, N(mu) = 1/c (the
-    norm to F_Q0, Q0 = q**t), has Phi**m = 1 and fixes H * M_2(F_Q0) for
-    one H (Hilbert 90): a random X's trace sum(Phi**j(X), j < m) is
-    invertible with probability >= 3/8."""
-    tower, t = g.tower, g.frob
-    top, add, mul = tower.top, tower.top.add, tower.top.mul
-    Q0, m = tower.q**t, tower.n // t
-    # N(gen**i) = eta**i, so the i with eta**i = 1/c gives mu = gen**i
-    gen = top._generator()
-    eta = top.pow(gen, (top.size - 1) // (Q0 - 1))
-    target, norm, i = top.inv(twisted_product(g.mat, m, t).a), 1, 0
-    while norm != target:
-        norm, i = mul(norm, eta), i + 1
-    a, b, c, d = g.mat.frobenius(-t).scaled(top.pow(gen, i)).entries
-    # Phi on the entries of X, row major: (mu * sigma**-t(A)) * sigma**-t(X)
-    R = [[a, 0, b, 0], [0, a, 0, b], [c, 0, d, 0], [0, c, 0, d]]
-    rng, det = random.Random(seed), 0
-    while not det:
-        h = u = [rng.randrange(top.size) for _ in range(4)]
-        for _ in range(1, m):
-            u = [reduce(add, map(mul, row, [top.frob(x, -t) for x in u])) for row in R]
-            h = list(map(add, h, u))
-        det = top.sub(mul(h[0], h[3]), mul(h[1], h[2]))
-    return Mat2(tower, *h)
+    product over n/t > 1 steps is scalar (D = 1).  Such a g fixes the
+    Q0 + 1 >= 3 images of P^1(F_Q0), Q0 = q**t: the roots of its fixed
+    x - alpha (_fixed_points), and infinity when A's c entry is 0.  H
+    sends 0, infinity, 1 to three of them, so the conjugate's matrix
+    fixes 0, infinity and 1 and is scalar."""
+    top = g.tower.top
+    sub, mul = top.sub, top.mul
+    roots = [top.neg(cs[0]) for cs in _fixed_points(top, g, 1)]
+    if not g.mat.c:
+        alpha, gamma = roots[:2]  # x -> (gamma - alpha) * x + alpha
+        return Mat2(g.tower, sub(gamma, alpha), alpha, 0, 1)
+    alpha, beta, gamma = roots[:3]
+    return Mat2(
+        g.tower,
+        mul(beta, sub(gamma, alpha)),
+        mul(alpha, sub(beta, gamma)),
+        sub(gamma, alpha),
+        sub(beta, gamma),
+    )
 
 
 def _factored_fixed(g: Semilinear, plan: EnumerationPlan, cap, seed: int):
@@ -312,8 +308,10 @@ def enumerate_invariants(
     """All monic irreducible polynomials of the given degree (> 2, with
     degree/D > 2) fixed by g, in lexicographic order, without scanning: a
     pure Frobenius sigma_t from _pure_frobenius_fixed, any other D = 1
-    element by conjugation to one (each result re-verified through the
-    action), D > 1 by factoring twisted fixing polynomials."""
+    element by conjugation to one through three of its fixed points on
+    the projective line (each result re-verified through the action),
+    D > 1 by factoring twisted fixing polynomials; the seed drives only
+    the D > 1 factoring's random splits."""
     g = _as_semilinear(g)
     plan = plan_enumeration(g, degree, cap=cap)
     if not plan.feasible:
@@ -321,7 +319,7 @@ def enumerate_invariants(
     if plan.factor_order > 1:
         return _factored_fixed(g, plan, cap, seed)
     # D = 1: a pure Frobenius sigma_t, or conjugate to one by [H, id]
-    move = None if plan.pure_frobenius else _conjugator(plan.reduced, seed).inv()
+    move = None if plan.pure_frobenius else _conjugator(plan.reduced).inv()
     found = _pure_frobenius_fixed(g.tower.top, plan.frob_index, degree, move)
     if move is not None and not all(is_invariant(g, f) for f in found):
         raise InternalInvariantError("a conjugated fixed polynomial failed re-verification")

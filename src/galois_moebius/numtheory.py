@@ -131,22 +131,6 @@ def prime_power_split(q: int) -> tuple[int, int]:
     return p, e
 
 
-def next_prime_in_progression(floor: int, residue: int, modulus: int) -> int:
-    """Smallest prime P > floor with P % modulus == residue % modulus."""
-    if modulus <= 1:
-        p = floor + 1
-        while not is_prime(p):
-            p += 1
-        return p
-    residue %= modulus
-    if math.gcd(residue, modulus) != 1:
-        raise DomainError(f"residue {residue} shares a factor with modulus {modulus}")
-    p = floor + 1 + (residue - (floor + 1)) % modulus
-    while not is_prime(p):
-        p += modulus
-    return p
-
-
 def power(x, e: int, mul, one):
     """x**e by square-and-multiply under the product mul, with one the
     identity, for an int e >= 0 (DomainError otherwise).  Squarings are

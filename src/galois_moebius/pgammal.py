@@ -32,7 +32,7 @@ from .errors import (
     ZeroDenominator,
 )
 from .gftower import FieldElement, FieldTower, TowerEmbedding
-from .numtheory import next_prime_in_progression, order_from_multiple, power
+from .numtheory import order_from_multiple, power
 from .polyring import Poly, frobenius_poly
 
 
@@ -365,17 +365,22 @@ def semilinear_order_bruteforce(g: Semilinear) -> int:
 def reduce_frobenius_index(g: Semilinear) -> Semilinear:
     """Replace g by a power with Frobenius index gcd(i, n).
 
-    The exponent is a prime coprime to the order of g, so the power
-    generates the same cyclic group and fixes exactly the same
-    polynomials, but carries the smallest Frobenius index available."""
+    The exponent is the least P = (i/t)**-1 mod n/t coprime to the order
+    of g, so the power generates the same cyclic group and fixes exactly
+    the same polynomials, but carries the smallest Frobenius index
+    available.  Such a P exists by the Chinese remainder theorem: the
+    residue is prime to n/t, and a prime r of the order that does not
+    divide n/t rules out one in every r consecutive candidates."""
     n = g.tower.n
     i = g.frob
     t = gcd(i, n)
     if t == i:
         return g
     m = n // t
-    residue = pow(i // t, -1, m)
-    P = next_prime_in_progression(semilinear_order(g), residue, m)
+    order = semilinear_order(g)
+    P = pow(i // t, -1, m)
+    while gcd(P, order) != 1:
+        P += m
     reduced = g**P
     if reduced.frob != t:
         raise InternalInvariantError("index reduction missed its target")

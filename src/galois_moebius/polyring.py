@@ -588,9 +588,9 @@ def _roots(level, f):
         # strip to the part that splits in this field, then split off roots
         _, lin = _frobenius_round(level, [0, 1], f)
         if len(lin) > 1:
-            rng = random.Random(0xC0FFEE)
-            for part in _edf(level, lin, 1, rng):
-                found.append(level.neg(part[0]))
+            # one root (the monic lin is x - root) needs no random split
+            parts = [lin] if len(lin) == 2 else _edf(level, lin, 1, random.Random(0xC0FFEE))
+            found += [level.neg(part[0]) for part in parts]
     found.sort(key=level.lex_key)
     return found
 

@@ -10,6 +10,7 @@ import galois_moebius as gm
 from galois_moebius import invariants, polyring
 from galois_moebius.errors import (
     BudgetExceeded,
+    DegreeTooLarge,
     DegreeTooSmall,
     DomainError,
     EvenDegree,
@@ -370,6 +371,50 @@ def test_d1_enumeration_factors_nothing(monkeypatch, t212, t214):
     g = h.inverse() * Semilinear(Mat2.identity(t214), 2) * h
     assert not g.mat.is_scalar()
     assert len(enumerate_invariants(g, 7, cap=None)) == polyring.count_irreducibles(4, 7)
+
+
+def test_d1_conjugate_costs_what_its_pure_frobenius_costs(t214):
+    # both sieve the 4**7 candidates over F_4, which the default cap allows
+    h = Semilinear(Mat2(t214, 1, 2, 3, 4))
+    g = h.inverse() * Semilinear(Mat2.identity(t214), 2) * h
+    assert not g.mat.is_scalar()
+    assert len(enumerate_invariants(g, 7)) == 2340
+    with pytest.raises(DegreeTooLarge):
+        enumerate_invariants(g, 7, cap=4**7 - 1)
+
+
+def test_d1_listing_draws_nothing_at_random(monkeypatch, t212, t214):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a D = 1 listing drew a random number")
+
+    monkeypatch.setattr(invariants.random, "Random", refuse)
+    h = Semilinear(Mat2(t214, 1, 2, 3, 4))
+    g = h.inverse() * Semilinear(Mat2(t214, 5, 0, 0, 5), 1) * h
+    got = enumerate_invariants(g, 5)
+    assert len(got) == polyring.count_irreducibles(2, 5)
+    assert all(is_invariant(g, f) for f in got)
+    assert len(scrim_polynomials(t212, 5)) == scrim_count(2, 5)
+
+
+@pytest.mark.parametrize(
+    "spec", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2), (2, 1, 4)], ids=str
+)
+def test_conjugator_moves_every_d1_class_to_a_pure_frobenius(spec):
+    # every non-scalar class with a proper index t | n whose twisted
+    # product is scalar, with infinity fixed (c = 0) and not
+    tower = gm.build_tower(*spec)
+    n = tower.n
+    seen = {True: 0, False: 0}
+    for mat in gm.all_proj_classes(tower):
+        for t in range(1, n):
+            g = Semilinear(mat, t)
+            if n % t or mat.is_scalar() or not twisted_product(mat, n // t, t).is_scalar():
+                continue
+            h = Semilinear(invariants._conjugator(g))
+            conj = h * g * h.inverse()
+            assert conj.frob == t and conj.mat.is_scalar(), (mat, t)
+            seen[mat.c == 0] += 1
+    assert seen[True] and seen[False]
 
 
 def test_census_of_a_nontrivial_element_lists_nothing(monkeypatch, t212):

@@ -10,7 +10,6 @@ from galois_moebius.numtheory import (
     factorize,
     is_prime,
     moebius_mu,
-    next_prime_in_progression,
     order_from_multiple,
     power,
     prime_power_split,
@@ -95,16 +94,6 @@ def test_prime_power_split():
         prime_power_split(12)
     with pytest.raises(NotPrime):
         prime_power_split(1)
-
-
-def test_next_prime_in_progression():
-    assert next_prime_in_progression(10, 1, 4) == 13
-    assert next_prime_in_progression(13, 1, 4) == 17
-    assert next_prime_in_progression(100, 2, 3) == 101
-    p = next_prime_in_progression(10**6, 3, 7)
-    assert is_prime(p) and p % 7 == 3 and p > 10**6
-    with pytest.raises(DomainError):
-        next_prime_in_progression(10, 2, 4)
 
 
 @pytest.mark.parametrize("fn", [factorize, divisors, euler_phi, moebius_mu])

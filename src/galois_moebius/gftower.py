@@ -76,6 +76,10 @@ class Level:
         self._barrett = None
         # c -> c**p, built by polyring._frobenius_map
         self._pth = None
+        # format_element of every code on a row level, built by textio
+        self._tokens = None
+        # the multiplicative generator, kept by _generator
+        self._gen = None
 
     # --- encoding ---------------------------------------------------
 
@@ -213,15 +217,17 @@ class Level:
         """The least code that generates the multiplicative group.  A proper
         extension skips the base field's codes, which never generate; a low
         code is a short polynomial, so the exp table's products are cheap.
-        Searched once: the exp table, where there is one, keeps it."""
-        if self._exp is not None:
-            return self._exp[1]
-        order = self.size - 1
-        prime_parts = [order // r for r in factorize(order)] if order > 1 else []
-        for cand in range(self.base.size if self.deg > 1 else 1, self.size):
-            if all(self._pow_generic(cand, m) != 1 for m in prime_parts):
-                return cand
-        raise NotFound("no multiplicative generator found")
+        Searched once and kept on the level."""
+        if self._gen is None:
+            order = self.size - 1
+            prime_parts = [order // r for r in factorize(order)] if order > 1 else []
+            for cand in range(self.base.size if self.deg > 1 else 1, self.size):
+                if all(self._pow_generic(cand, m) != 1 for m in prime_parts):
+                    self._gen = cand
+                    break
+            else:
+                raise NotFound("no multiplicative generator found")
+        return self._gen
 
     def _build_exp_log(self):
         size = self.size

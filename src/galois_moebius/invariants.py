@@ -25,8 +25,9 @@
 * counting formulas and listings for the two classical families:
   conjugate self-reciprocal polynomials over F_(q**2), the fixed set of
   the D = 1 element [[0,1],[1,0]] sigma, listed by the same conjugation,
-  and plain self-reciprocal polynomials over F_q, tested only on the
-  images x**m * g(x + 1/x) of the irreducibles g of half the degree.
+  and plain self-reciprocal polynomials over F_q, the images
+  x**m * g(x + 1/x) of the irreducibles g of half the degree that Meyn's
+  criterion keeps, with no irreducibility test.
 * structural cross-checks: lift_check ties invariance over the top field
   to a norm polynomial living over the middle field, and
   involution_ratio_check verifies the 2:1 count relation between the
@@ -671,19 +672,42 @@ def construct_scrim(tower: FieldTower, degree: int) -> tuple[Poly, Poly]:
 
 def srim_polynomials(level: Level, degree: int) -> tuple[Poly, ...]:
     """All self-reciprocal monic irreducibles of the given even degree
-    2m over the level, in lexicographic order.
+    2m over the level F_Q, in lexicographic order.
 
     An irreducible of degree > 1 that is self-reciprocal is palindromic
     with constant term 1, and every such f is x**m * g(x + 1/x) for
     exactly one monic g of degree m; a factorization of g gives one of
-    f.  So only the images of the monic irreducibles g, listed by sieve,
-    are tested."""
+    f.  So f comes from a monic irreducible g, listed by sieve, and
+    Meyn's criterion (AAECC 1, 1990) decides it from g alone, with nothing
+    tested: for odd p, f is irreducible when g(2) * g(-2) is a non-square,
+    the norm of beta**2 - 4 for a root beta of g; for p = 2, when g_0 != 0
+    and the absolute trace of g_1 / g_0, that of 1/beta, is 1."""
     if not isinstance(degree, int):
         raise DomainError(f"degree must be an int, got {degree!r}")
     if degree < 2 or degree % 2:
         raise EvenDegree("self-reciprocal irreducibles of degree > 1 have even degree")
     m = degree // 2
-    add, mul = level.add, level.mul
+    Q = level.size
+    add, mul, pw = level.add, level.mul, level.pow
+    if level.p == 2:
+        e = Q.bit_length() - 1
+
+        def keep(g):
+            if not g[0]:
+                return False
+            t = y = mul(g[1], level.inv(g[0]))
+            for _ in range(e - 1):
+                y = mul(y, y)
+                t = add(t, y)
+            return t == 1
+
+    else:
+        two, minus_two = 2, level.neg(2)
+
+        def keep(g):
+            v = mul(polyring._eval(level, g, two), polyring._eval(level, g, minus_two))
+            return v != 0 and pw(v, (Q - 1) // 2) != 1
+
     # row j: x**(m - j) * (x**2 + 1)**j, whose coefficients lie in F_p
     rows, power = [], [1]
     for j in range(m + 1):
@@ -691,12 +715,14 @@ def srim_polynomials(level: Level, degree: int) -> tuple[Poly, ...]:
         power = level.poly_mul(power, [1, 0, 1])
     out = []
     for tail in polyring._sieve(level, m, level.elements_lex()):
+        g = (*tail, 1)
+        if not keep(g):
+            continue
         f = [0] * (degree + 1)
-        for gj, row in zip((*tail, 1), rows):
+        for gj, row in zip(g, rows):
             if gj:
                 f = [add(a, mul(gj, b)) for a, b in zip(f, row)]
-        if polyring._irreducible(level, f):
-            out.append(Poly(level, f))
+        out.append(Poly(level, f))
     return tuple(sorted(out, key=Poly.lex_key))
 
 

@@ -17,8 +17,9 @@ one bigint product of Kronecker-packed ints and a Barrett remainder with a
 precomputed inverse of the reversed modulus.  Levels whose packing tables
 would exceed _TABLE_CAP entries keep schoolbook, and so do short moduli,
 where packing costs more than it saves.  Gcds, exact divisions and the
-Q-power map modulo a sparse fixing polynomial (_frobenius_map) run on the
-level's own long division loop.
+Q-power map by spreads (_frobenius_map) run on the level's own long
+division loop; every Frobenius ladder takes that map unless the modulus
+is packed (_qpow).
 """
 
 from __future__ import annotations
@@ -348,11 +349,12 @@ def _minus_x(level, h):
     return _trim(hx)
 
 
-def _frobenius_round(level, h, f):
-    """One step of the x**(Q**i) ladder modulo f: from h = x**(Q**i) mod f
-    to h**Q mod f, returned with gcd(h**Q - x, f), the product of the
-    distinct irreducible factors of f whose degree divides i + 1."""
-    h = _powmod(level, h, level.size, f)
+def _frobenius_round(level, h, f, qpow):
+    """One step of the x**(Q**i) ladder modulo the monic f: from
+    h = x**(Q**i) mod f to qpow(h) = h**Q mod f (qpow from _qpow(level, f)),
+    returned with gcd(h**Q - x, f), the product of the distinct
+    irreducible factors of f whose degree divides i + 1."""
+    h = qpow(h)
     return h, _gcd(level, _minus_x(level, h), f)
 
 
@@ -378,6 +380,19 @@ def _frobenius_map(level, m):
         return h
 
     return qpow
+
+
+def _qpow(level, m):
+    """The map h -> h**Q modulo the monic m, Q the level's size: packed
+    square-and-multiply when _mulmod would pack m, _frobenius_map's spreads
+    otherwise.  The spreads need no product and take about half the time
+    of schoolbook powering, but more than the packed kernel's on long
+    moduli."""
+    ctx = _barrett(level, m) if len(m) > _PACK_CUTOVER else None
+    if ctx is None:
+        return _frobenius_map(level, m)
+    rem, Q = level.poly_rem_monic, level.size
+    return lambda h: power(rem(h, m), Q, ctx.mulmod, [1])
 
 
 def _degree_part(level, m, k, qpow):
@@ -414,9 +429,9 @@ def _irreducible(level, f) -> bool:
         for a in range(Q):
             if not _eval(level, f, a):
                 return False
-    h = [0, 1]
+    h, qpow = [0, 1], _qpow(level, f)
     for _ in range(k // 2):
-        h, g = _frobenius_round(level, h, f)
+        h, g = _frobenius_round(level, h, f, qpow)
         if len(g) > 1:
             return False
     return True
@@ -456,15 +471,15 @@ def _ddf(level, f):
     [(d, product of the irreducible factors of degree d)]."""
     out = []
     rem = list(f)
-    h = [0, 1]
+    h, qpow = [0, 1], _qpow(level, rem)
     i = 1
     while len(rem) - 1 >= 2 * i:
-        h, g = _frobenius_round(level, h, rem)
+        h, g = _frobenius_round(level, h, rem, qpow)
         if len(g) > 1:
             out.append((i, g))
             rem = _exact_div(level, rem, g)
             if len(rem) > 1:
-                h = level.poly_rem_monic(h, rem)
+                h, qpow = level.poly_rem_monic(h, rem), _qpow(level, rem)
             else:
                 break
         i += 1
@@ -480,7 +495,7 @@ def _edf(level, f, d, rng, qpow=None):
     """Equal-degree split: f monic squarefree, every factor of degree d.
 
     Each draw takes one trace T = sum(r**(Q**i), i < d) through qpow, the
-    map h -> h**Q modulo a multiple of f (by default _powmod mod f).  T is
+    map h -> h**Q modulo a multiple of f (by default _qpow mod f).  T is
     in F_Q modulo each factor, so every pending w splits by t = T mod w,
     once per shift c: gcd(Tr(c*t), w) with Tr the trace to F_2 in
     characteristic 2, gcd((t + c)**((Q-1)/2) - 1, w) for odd p (one shift
@@ -491,8 +506,7 @@ def _edf(level, f, d, rng, qpow=None):
     Q = level.size
     f = list(f)
     if qpow is None:
-        def qpow(h):
-            return _powmod(level, h, Q, f)
+        qpow = _qpow(level, f)
     rem, e = level.poly_rem_monic, Q.bit_length() - 1
     shifts = [c for c in (1, 2, 4) if c < Q] if level.p == 2 else [0, 1, 2]
     if d == 1:
@@ -586,7 +600,8 @@ def _roots(level, f):
     found = []
     if len(f) > 1:
         # strip to the part that splits in this field, then split off roots
-        _, lin = _frobenius_round(level, [0, 1], f)
+        f = _monic(level, f)
+        _, lin = _frobenius_round(level, [0, 1], f, _qpow(level, f))
         if len(lin) > 1:
             # one root (the monic lin is x - root) needs no random split
             parts = [lin] if len(lin) == 2 else _edf(level, lin, 1, random.Random(0xC0FFEE))

@@ -20,8 +20,10 @@ byte identical text.
 from __future__ import annotations
 
 import json
+from functools import partial
 
 from .errors import ParseError
+from .gftower import _ROW_CAP
 
 
 def format_element(level, a: int) -> str:
@@ -61,11 +63,21 @@ def parse_element(level, text: str) -> int:
     return coerce_element(level, obj)
 
 
+def _element_tokens(level):
+    """a -> format_element(level, a); on a level of at most _ROW_CAP
+    elements one lookup in a table of every code's token, built on first
+    use."""
+    if level.size > _ROW_CAP:
+        return partial(format_element, level)
+    if level._tokens is None:
+        level._tokens = [format_element(level, a) for a in range(level.size)]
+    return level._tokens.__getitem__
+
+
 def format_poly(level, coeffs) -> str:
-    coeffs = list(coeffs)
     if not coeffs:
         return "0"
-    return ",".join(format_element(level, c) for c in coeffs)
+    return ",".join(map(_element_tokens(level), coeffs))
 
 
 def parse_poly(level, text: str) -> list[int]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -218,6 +219,26 @@ def test_srim_count_and_first_agree_with_the_list(capsys, p, degree):
     code, out, _ = run(capsys, *argv, "--mode", "first")
     assert code == 0
     assert json.loads(out)["result"] == {"poly": listed["polynomials"][0]}
+
+
+# SHA-256 of the text listings' stdout, recorded before SRIM listings
+# switched from a Ben-Or test per candidate to Meyn's criterion and before
+# format_poly read a token table
+LISTING_SHA256 = {
+    ("5", "1", "10", "srim"): "3b5b63abfcacb3b688739cf2b903304613b650c1bda3c1cffb1611c40bcf1f46",
+    ("2", "2", "10", "srim"): "965a33c238c3e94862951a94114edded86490472008f8e303d91b14e4fea4622",
+    ("2", "1", "18", "srim"): "77f56a85bd69478f10a81ec1d5a07f609b98072875b9166ade3eb2ec212c9bb6",
+    ("2", "2", "7", "scrim"): "3463885f3f78308633f9e37a784b518e99340a2cf5eaa42f7ff7333642b6c27a",
+}
+
+
+@pytest.mark.parametrize("p, e, degree, kind", sorted(LISTING_SHA256))
+def test_family_listing_bytes_are_pinned(capsys, p, e, degree, kind):
+    kind_args = ("--kind", "srim") if kind == "srim" else ()
+    code, out, _ = run(capsys, "scrim", "--p", p, "--e", e, "--degree", degree, *kind_args, "--mode", "list")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == LISTING_SHA256[p, e, degree, kind]
 
 
 def test_parse_error_exit_code(capsys):

@@ -742,6 +742,10 @@ SRIM_CASES = [
     (((2, 2, 2), {"g": (1, 1, 1)}), "mid", (2, 4, 6)),
     (((5, 1, 2), {}), "mid", (2, 4, 6)),
     (((2, 3, 2), {"g": (1, 1, 0, 1)}), "mid", (2, 4)),
+    (((7, 1, 2), {}), "mid", (2, 4, 6, 8)),
+    (((7, 1, 2), {}), "top", (2, 4)),
+    (((3, 2, 2), {}), "mid", (2, 4, 6, 8)),
+    (((2, 1, 4), {}), "top", (2, 4, 6)),
 ]
 
 
@@ -754,6 +758,26 @@ def test_srim_listing_matches_the_palindromic_scan(spec, level_name, degrees):
     level = getattr(gm.build_tower(*spec[0], **spec[1]), level_name)
     for k in degrees:
         assert srim_polynomials(level, k) == _palindromic_scan(level, k)
+
+
+def test_srim_listing_runs_no_ben_or(monkeypatch):
+    # Meyn's criterion decides every candidate x**m * g(x + 1/x) from g
+    f25, f16 = gm.build_tower(5, 1, 2).top, gm.build_tower(2, 1, 4).top
+    f5, f4 = gm.build_tower(5, 1, 2).mid, gm.build_tower(2, 2, 2).mid
+    # the oracles for an even half-degree, taken before the patch
+    scans = {level: _palindromic_scan(level, 4) for level in (f25, f16)}
+
+    def refuse(*args):
+        raise AssertionError("a self-reciprocal candidate was tested for irreducibility")
+
+    monkeypatch.setattr(polyring, "_irreducible", refuse)
+    for level, scan in scans.items():
+        assert srim_polynomials(level, 4) == scan
+    for level, k in ((f25, 6), (f16, 6), (f5, 10), (f4, 10)):
+        listing = srim_polynomials(level, k)
+        assert len(listing) == srim_count(level.size, k // 2)
+        assert all(f.coeffs == f.coeffs[::-1] for f in listing)
+        assert list(listing) == sorted(listing, key=Poly.lex_key)
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,9 @@ only, and polyring's exact divisions and Poly.__divmod__ run on
 poly_divmod_monic.  Products modulo a long modulus go through polyring's
 packed kernel instead (Kronecker multiply, Barrett remainder).  The
 Q-power map modulo a sparse fixing polynomial (polyring._frobenius_map)
-is checked against the packed powering.
+is checked against the packed powering, and so is the map every
+Frobenius ladder takes (polyring._qpow) on either side of the packing
+cut-over.
 The oracle below uses only the level's scalar add, mul and sub, so it is
 independent of which kernel a level carries.
 """
@@ -22,8 +24,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import galois_moebius as gm
-from galois_moebius import polyring
+from galois_moebius import gftower, polyring
 from galois_moebius.polyring import Poly, factor, monic_irreducibles, powmod
+from galois_moebius.textio import format_element, format_poly
 
 LEVELS = {
     "F4": (lambda: gm.build_tower(2, 1, 2).top, "char2-rows"),
@@ -203,6 +206,44 @@ def test_frobenius_map_matches_powmod(tower, E):
             want = polyring._powmod(level, h, Q, F)
             h = qpow(h)
             assert h == want
+
+
+@pytest.mark.parametrize("length", [polyring._PACK_CUTOVER, polyring._PACK_CUTOVER + 2])
+def test_qpow_matches_powmod(level, length):
+    # below the cut-over, and on levels that do not pack, the spreads;
+    # above it on a packing level, packed powering
+    rng = random.Random(length * level.size)
+    Q = level.size
+    for _ in range(3):
+        m = [rng.randrange(Q) for _ in range(length - 1)] + [1]
+        qpow = polyring._qpow(level, m)
+        h = [rng.randrange(Q) for _ in range(length - 1)]
+        for _ in range(2):
+            want = polyring._powmod(level, h, Q, m)
+            h = qpow(h)
+            assert h == want
+
+
+def test_roots_of_a_non_monic_polynomial(level):
+    # _roots makes f monic before the ladder; the scan evaluates f itself
+    rng = random.Random(level.size + 1)
+    Q = level.size
+    for _ in range(3):
+        f = Poly(level, [rng.randrange(Q) for _ in range(4)] + [rng.randrange(2, Q)])
+        for a in rng.sample(range(Q), 3):
+            f = f * Poly(level, [level.neg(a), 1])
+        want = sorted((a for a in range(Q) if not f(a)), key=level.lex_key)
+        assert f.coeffs[-1] != 1
+        assert polyring.roots(f) == want
+
+
+def test_element_token_table(level):
+    # a row level formats a polynomial through one table of every code's
+    # token; a larger level formats each coefficient
+    codes = list(range(level.size))
+    want = [format_element(level, a) for a in codes]
+    assert format_poly(level, codes) == ",".join(want)
+    assert level._tokens == (want if level.size <= gftower._ROW_CAP else None)
 
 
 # --- the packed kernel --------------------------------------------------

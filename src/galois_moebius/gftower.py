@@ -15,7 +15,9 @@ Every level, the prime field included, runs one set-up on its generic
 product (a * b mod p, or over the level below modulo the level's modulus):
 discrete exp/log tables (for mul, inv, pow) when it has at most 2**16
 elements, and lazy per-row multiplication and addition tables for the
-polynomial inner loops when it has at most 2048.  Larger levels power the
+polynomial inner loops when it has at most 2048.  In characteristic 2 the
+exp table takes the generic product only on the flat basis and steps by
+byte tables of the F_2-linear map a -> a * gen.  Larger levels power the
 generic product by square-and-multiply.
 
 The tower Frobenius x -> x**(q**i) is the top level's power map, so on a
@@ -24,14 +26,15 @@ own.
 
 Moduli default to the lexicographically smallest monic irreducible of the
 right degree, where coefficient vectors are compared constant term first
-and elements are compared by their flattened base-p digit vectors.  Towers
-and levels are interned, so equal parameters give identical objects and
-shared caches.
+and elements are compared by their flattened base-p digit vectors; each is
+searched once per (level, degree).  Towers and levels are interned, so
+equal parameters give identical objects and shared caches.
 """
 
 from __future__ import annotations
 
 from itertools import compress
+from operator import xor
 
 from . import polyring
 from .errors import (
@@ -76,6 +79,8 @@ class Level:
         self._barrett = None
         # c -> c**p, built by polyring._frobenius_map
         self._pth = None
+        # the codes' powers and byte multiplication rows of polyring._has_root
+        self._scan = None
         # format_element of every code on a row level, built by textio
         self._tokens = None
         # the multiplicative generator, kept by _generator
@@ -112,7 +117,7 @@ class Level:
         size = self.size
 
         if p == 2:
-            self.add = lambda a, b: a ^ b
+            self.add = xor
             self.sub = self.add
             self.neg = lambda a: a
         else:
@@ -237,9 +242,18 @@ class Level:
         gen = self._generator()
         exp = [1] * (2 * order)
         acc = 1
-        for i in range(1, order):
-            acc = self._mul_generic(acc, gen)
-            exp[i] = acc
+        if self.p == 2:
+            # a -> a * gen is F_2-linear: one table per byte of the code
+            images = [self._mul_generic(1 << t, gen) for t in range(self.flat_deg)]
+            low, high = [0], [0]
+            for t, img in enumerate(images):
+                table = low if t < 8 else high
+                table += [x ^ img for x in table]
+            for i in range(1, order):
+                acc = exp[i] = low[acc & 255] ^ high[acc >> 8]
+        else:
+            for i in range(1, order):
+                acc = exp[i] = self._mul_generic(acc, gen)
         for i in range(order, 2 * order):
             exp[i] = exp[i - order]
         log = [0] * size
@@ -491,13 +505,21 @@ def quadratic_extension(level: Level) -> ExtLevel:
     return ext
 
 
+_FIRST_IRREDUCIBLE: dict[tuple[Level, int], tuple[int, ...]] = {}
+
+
 def first_irreducible(level: Level, k: int) -> tuple[int, ...]:
-    """Lexicographically smallest monic irreducible of degree k."""
+    """Lexicographically smallest monic irreducible of degree k, kept per
+    (level, degree): it is every default modulus of build_tower."""
     if not isinstance(k, int) or k < 1:
         raise DegreeMismatch(f"modulus degree must be an int >= 1, got {k!r}")
-    for cand in polyring._irreducible_scan(level, k, level.elements_lex()):
-        return tuple(cand)
-    raise NotFound("no irreducible of the requested degree")
+    got = _FIRST_IRREDUCIBLE.get((level, k))
+    if got is None:
+        got = next(polyring._irreducible_scan(level, k, level.elements_lex()), None)
+        if got is None:
+            raise NotFound("no irreducible of the requested degree")
+        got = _FIRST_IRREDUCIBLE[level, k] = tuple(got)
+    return got
 
 
 def _q_linear(level, q: int, images, a: int) -> int:

@@ -43,7 +43,6 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from math import gcd
 
 from . import polyring
@@ -64,7 +63,9 @@ from .numtheory import divisors, euler_phi, moebius_mu, prime_power_split
 from .pgammal import (
     Mat2,
     Semilinear,
-    _linear_powers,
+    _apply_table,
+    _fixes,
+    _substitution_rows,
     fixing_polynomial_twisted,
     moebius_act,
     proj_order,
@@ -249,11 +250,7 @@ def _pure_frobenius_fixed(level, frob: int, k: int, move=None) -> tuple[Poly, ..
     if move is None:
         return tuple(Poly(level, cs) for cs in listing)
     T = _substitution_rows(level, move, k)
-    out = []
-    for cs in listing:
-        image = [reduce(level.add, map(level.mul, row, cs)) for row in T]
-        lead = level.inv(image[-1])
-        out.append(Poly(level, [level.mul(lead, x) for x in image]))
+    out = [Poly(level, polyring._monic(level, _apply_table(level, T, cs))) for cs in listing]
     return tuple(sorted(out, key=Poly.lex_key))
 
 
@@ -283,24 +280,24 @@ def _conjugator(g: Semilinear) -> Mat2:
 
 def _factored_fixed(g: Semilinear, plan: EnumerationPlan, cap, seed: int):
     """Fix(g) from the degree-k irreducible factors of the plan's twisted
-    fixing polynomials that the action fixes.  The degree-k part and the
+    fixing polynomials that the action fixes, each tested by one product
+    with the action's table (pgammal._fixes).  The degree-k part and the
     EDF's traces come from the Q-power map modulo the four-term F_j, a
     spread and a sparse remainder per round (polyring._frobenius_map)."""
     level, degree, t, s = g.tower.top, plan.degree, plan.frob_index, plan.s
     rng = random.Random(seed)
-    found: dict[tuple[int, ...], Poly] = {}
+    factors = set()
     for j in plan.twists:
         target = fixing_polynomial_twisted(plan.reduced.mat, j, j + s, step=t, cap=cap)
         coeffs = list(target.monic().coeffs)
         qpow = polyring._frobenius_map(level, coeffs)
         part = polyring._degree_part(level, coeffs, degree, qpow)
-        if len(part) == 1:
-            continue
-        for fac in polyring._edf(level, part, degree, rng, qpow):
-            cand = Poly(level, fac)
-            if cand.coeffs not in found and is_invariant(g, cand):
-                found[cand.coeffs] = cand
-    return tuple(sorted(found.values(), key=Poly.lex_key))
+        if len(part) > 1:
+            factors.update(map(tuple, polyring._edf(level, part, degree, rng, qpow)))
+    if not factors:
+        return ()
+    fixed = _fixes(g, level, degree)
+    return tuple(sorted((Poly(level, cs) for cs in factors if fixed(cs)), key=Poly.lex_key))
 
 
 def enumerate_invariants(
@@ -321,9 +318,12 @@ def enumerate_invariants(
         return _factored_fixed(g, plan, cap, seed)
     # D = 1: a pure Frobenius sigma_t, or conjugate to one by [H, id]
     move = None if plan.pure_frobenius else _conjugator(plan.reduced).inv()
-    found = _pure_frobenius_fixed(g.tower.top, plan.frob_index, degree, move)
-    if move is not None and not all(is_invariant(g, f) for f in found):
-        raise InternalInvariantError("a conjugated fixed polynomial failed re-verification")
+    top = g.tower.top
+    found = _pure_frobenius_fixed(top, plan.frob_index, degree, move)
+    if move is not None and found:
+        fixed = _fixes(g, top, degree)
+        if not all(fixed(f.coeffs) for f in found):
+            raise InternalInvariantError("a conjugated fixed polynomial failed re-verification")
     return found
 
 
@@ -365,18 +365,6 @@ class CensusReport:
                 for entry in self.entries
             ],
         }
-
-
-def _substitution_rows(level, mat: Mat2, k: int):
-    """T[i][j], the x**i coefficient of (a*x + b)**j * (c*x + d)**(k - j),
-    so that the action's image of a degree-k polynomial with coefficients
-    c_j has x**i coefficient sum(T[i][j] * c_j)."""
-    npow, dpow = _linear_powers(level, mat, k)
-    rows = [[0] * (k + 1) for _ in range(k + 1)]
-    for j in range(k + 1):
-        for i, t in enumerate(level.poly_mul(npow[j], dpow[k - j])):
-            rows[i][j] = t
-    return rows
 
 
 def _solve(field, rows):
@@ -423,7 +411,7 @@ def _descend(level, R, step, basis, gen, m):
         u = t = [mul(level.pow(gen, i), x) for x in e]
         for _ in range(1, m):
             s = [level.frob(x, step) for x in u]
-            u = [reduce(add, map(mul, row, s)) for row in R]
+            u = _apply_table(level, R, s)
             t = list(map(add, t, u))
         if not _solve(level, [list(row) for row in zip(*fixed, t)]):
             fixed.append(t)
@@ -480,17 +468,15 @@ def _fixed_points(level, g: Semilinear, k: int):
         if m > 1:
             scale = level.pow(gen, 1 - scalars.index(N))
             W = _descend(level, [[mul(scale, x) for x in row] for row in T], idx, W, gen, m)
-        # each F_Q0-line once, from its first nonzero coordinate over W
-        # (product would copy all of F_Q even with no factor)
+        # each F_Q0-line once, from its first nonzero coordinate over W:
+        # w plus every combination of the later basis vectors, each
+        # combination extending one of its prefix
         for i, w in enumerate(W):
-            rest = W[i + 1 :]
-            for cs in itertools.product(scalars, repeat=len(rest)) if rest else [()]:
-                v = w
-                for c, u in zip(cs, rest):
-                    v = [add(x, mul(c, y)) for x, y in zip(v, u)]
-                if v[k]:
-                    lead = level.inv(v[k])
-                    found.append(tuple([mul(lead, x) for x in v]))
+            lines = [w]
+            for u in W[i + 1 :]:
+                multiples = [[mul(c, y) for y in u] for c in scalars]
+                lines = [list(map(add, v, cu)) for v in lines for cu in multiples]
+            found += [tuple(polyring._monic(level, v)) for v in lines if v[k]]
     return found
 
 
@@ -504,15 +490,19 @@ def census(
 
     Each degree k solves the fixed-point equations of the element on the
     coefficients, one F_Q eigenspace per norm value (see _fixed_points),
-    and keeps the irreducible solutions, in lexicographic order; a scalar
-    matrix, a pure Frobenius, takes its fixed set from
+    and keeps the irreducible solutions, in lexicographic order, by
+    Ben-Or (polyring._irreducible: a root scan on levels of at most 256
+    elements, then gcds only at the ladder's rungs in (k/4, k/2]); a
+    scalar matrix, a pure Frobenius, takes its fixed set from
     _pure_frobenius_fixed instead, one sieve over its fixed field.  The
     level is the top of the element's tower unless given, and must be
     one of that tower's three levels.  The budget bounds the number of
     monic candidates (field size to the power of the degree) per
     requested degree, and so the sieve's one-byte flag per candidate.
-    The report re-verifies its own entries through is_invariant, the
-    action's own route, before it is returned."""
+    Before the report is returned, every entry is re-verified: its level,
+    monic, degree, Ben-Or again, and invariance by one product with the
+    action's own substitution table (pgammal._fixes, the table
+    moebius_act applies), built once per degree that has entries."""
     g = _as_semilinear(g)
     level = g.tower.top if level is None else g.tower._own(level)
     if not isinstance(budget, int):
@@ -541,13 +531,14 @@ def census(
     element = f"{g.mat.to_text()} | frob={g.frob}"
     report = CensusReport(element, level.size, budget, tuple(entries))
     for entry in report.entries:
+        fixed = _fixes(g, level, entry.degree) if entry.polynomials else None
         for f in entry.polynomials:
             if (
                 f.level is not level
                 or not f.is_monic
                 or f.degree != entry.degree
                 or not is_irreducible(f)
-                or not is_invariant(g, f)
+                or not fixed(f.coeffs)
             ):
                 raise InternalInvariantError("census entry failed re-verification")
         if entry.count != len(entry.polynomials):

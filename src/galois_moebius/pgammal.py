@@ -19,6 +19,7 @@ Frobenius indices are stored in 1..n with n meaning the identity map.
 from __future__ import annotations
 
 import itertools
+from functools import reduce
 from math import gcd
 
 from . import polyring
@@ -237,16 +238,48 @@ class Semilinear:
         return f"Semilinear<{self.mat.to_text()} | frob={self.frob}>"
 
 
-def _linear_powers(level, mat: Mat2, k: int):
-    """The powers (a*x + b)**j and (c*x + d)**j for j = 0..k, two lists."""
+def _substitution_rows(level, mat: Mat2, k: int, columns=None):
+    """T[i][j], the x**i coefficient of (a*x + b)**j * (c*x + d)**(k - j),
+    so that the action's image of a degree-k polynomial with coefficients
+    c_j has x**i coefficient sum(T[i][j] * c_j).  Only the given columns j
+    are built (all by default); the others stay zero."""
     a, b, c, d = mat.entries
-    num = polyring._trim([b, a])
-    den = polyring._trim([d, c])
+    num, den = polyring._trim([b, a]), polyring._trim([d, c])
     npow, dpow = [[1]], [[1]]
     for _ in range(k):
         npow.append(level.poly_mul(npow[-1], num))
         dpow.append(level.poly_mul(dpow[-1], den))
-    return npow, dpow
+    # columns not built share one zero list, which is never written
+    cols = [[0] * (k + 1)] * (k + 1)
+    for j in range(k + 1) if columns is None else columns:
+        term = level.poly_mul(npow[j], dpow[k - j])
+        cols[j] = term + [0] * (k + 1 - len(term))
+    return list(zip(*cols))
+
+
+def _apply_table(level, T, cs):
+    """The table product T * cs, coefficient list against coefficient list;
+    on row levels each T[i][j] * c_j is a lookup in c_j's multiplication
+    row."""
+    add, rows = level.add, level._mul_rows
+    if rows is None:
+        return [reduce(add, map(level.mul, row, cs)) for row in T]
+    scaled = [rows[c] or level._build_mul_row(c) for c in cs]
+    return [reduce(add, map(list.__getitem__, scaled, row)) for row in T]
+
+
+def _fixes(g: Semilinear, level, k: int):
+    """A test of whether g fixes a monic coefficient vector of degree k over
+    the level: the action's table, built once here, and one table product
+    per vector."""
+    T = _substitution_rows(level, g.mat, k)
+    frob, i = level.frob, g.frob
+
+    def fixed(cs):
+        image = _apply_table(level, T, [frob(x, i) for x in cs])
+        return bool(image[k]) and polyring._monic(level, image) == list(cs)
+
+    return fixed
 
 
 def moebius_act(mat: Mat2, f: Poly, strict: bool = True) -> Poly | None:
@@ -255,26 +288,19 @@ def moebius_act(mat: Mat2, f: Poly, strict: bool = True) -> Poly | None:
     Works on any level of the matrix's tower whose codes hold the entries,
     so a matrix with subfield entries also acts on polynomials over that
     subfield.  When a root of f maps to infinity the image degree
-    collapses; strict mode raises, otherwise None comes back."""
+    collapses; strict mode raises, otherwise None comes back.  The image
+    is one product with the substitution table, built only in the columns
+    of f's nonzero coefficients."""
     if not isinstance(f, Poly):
         raise DomainError(f"expected a Poly, got {type(f).__name__}")
     level = mat.tower._own(f.level)
-    a, b, c, d = mat.entries
-    if any(x >= level.size for x in (a, b, c, d)):
+    if max(mat.entries) >= level.size:
         raise DomainError("matrix entries do not lie in the coefficient field")
     k = f.degree
     if k < 1:
         raise DegreeTooSmall("the action needs degree >= 1")
-    npow, dpow = _linear_powers(level, mat, k)
-    acc = [0] * (k + 1)
-    mul, add = level.mul, level.add
-    for j, cj in enumerate(f.coeffs):
-        if cj:
-            term = level.poly_mul(npow[j], dpow[k - j])
-            for idx, t in enumerate(term):
-                if t:
-                    acc[idx] = add(acc[idx], mul(cj, t))
-    acc = polyring._trim(acc)
+    T = _substitution_rows(level, mat, k, [j for j, cj in enumerate(f.coeffs) if cj])
+    acc = polyring._trim(_apply_table(level, T, f.coeffs))
     if len(acc) - 1 != k:
         if strict:
             raise DomainError("the image degenerates: a root maps to infinity")

@@ -12,6 +12,11 @@ then equal-degree splitting with one trace per random draw, drawn from a
 local random.Random seeded by the caller, so runs are reproducible and
 concurrent calls never share state.
 
+Irreducibility is Ben-Or's test with gcds only at the rungs i in
+(k/4, k/2] of the ladder x**(Q**i) mod f, after a root scan on levels of
+at most 256 elements (byte-packed in characteristic 2, Horner with an
+early exit for odd p) and with rung 1 kept on larger levels.
+
 Products modulo more than _PACK_CUTOVER coefficients run packed (_mulmod):
 one bigint product of Kronecker-packed ints and a Barrett remainder with a
 precomputed inverse of the reversed modulus.  Levels whose packing tables
@@ -365,9 +370,11 @@ def _frobenius_map(level, m):
     p, rounds, rem = level.p, level.flat_deg, level.poly_rem_monic
     pth = level._pth
     if pth is None:
-        pw = level.pow
+        exp, o = level._exp, level.size - 1
         pth = level._pth = (
-            [pw(c, p) for c in range(level.size)].__getitem__ if level._exp else lambda c: pw(c, p)
+            [0, *[exp[x * p % o] for x in level._log[1:]]].__getitem__
+            if exp
+            else lambda c: level.pow(c, p)
         )
 
     def qpow(h):
@@ -415,7 +422,48 @@ def _degree_part(level, m, k, qpow):
     return part
 
 
+def _has_root(level, f) -> bool:
+    """Whether f has a root in the level, of at most 256 elements.  In
+    characteristic 2, f is evaluated at every element at once: the codes'
+    i-th powers are one byte string per i, c_i * a**i for every a is its
+    translate through c_i's multiplication row, and their XOR, read as
+    ints, holds f(a) in byte a.  Odd p evaluates by Horner through a's
+    multiplication row and stops at the first root."""
+    Q = level.size
+    if level.p > 2:
+        add, rows, cs = level.add, level._mul_rows, f[::-1]
+        for a in range(Q):
+            row = rows[a] or level._build_mul_row(a)
+            acc = 0
+            for c in cs:
+                acc = add(row[acc], c)
+            if not acc:
+                return True
+        return False
+    if level._scan is None:
+        level._scan = ([bytes([1] * Q)], [None] * Q)
+    powers, byte_rows = level._scan
+    while len(powers) < len(f):
+        powers.append(bytes(map(level.mul, powers[-1], range(Q))))
+    acc = 0
+    for c, pw in zip(f, powers):
+        if c:
+            if c != 1:
+                row = byte_rows[c]
+                if row is None:
+                    row = bytes(level._mul_rows[c] or level._build_mul_row(c))
+                    row = byte_rows[c] = row.ljust(256, b"\0")
+                pw = pw.translate(row)
+            acc ^= int.from_bytes(pw, "little")
+    return 0 in acc.to_bytes(Q, "little")
+
+
 def _irreducible(level, f) -> bool:
+    """Ben-Or's test: f of degree k is irreducible exactly when it has no
+    irreducible factor of degree d <= k/2.  Every such d divides some i in
+    (k//4, k//2], so the ladder x**(Q**i) mod f, i <= k//2, takes
+    gcd(x**(Q**i) - x, f) only at those rungs, and at rung 1 on levels of
+    more than 256 elements, where no root scan (_has_root) ran first."""
     f = _monic(level, _trim(list(f)))
     k = len(f) - 1
     if k <= 0:
@@ -424,15 +472,13 @@ def _irreducible(level, f) -> bool:
         return True
     if not f[0]:
         return False
-    Q = level.size
-    if Q <= 256:
-        for a in range(Q):
-            if not _eval(level, f, a):
-                return False
+    scanned = level.size <= 256
+    if scanned and _has_root(level, f):
+        return False
     h, qpow = [0, 1], _qpow(level, f)
-    for _ in range(k // 2):
-        h, g = _frobenius_round(level, h, f, qpow)
-        if len(g) > 1:
+    for i in range(1, k // 2 + 1):
+        h = qpow(h)
+        if (i > k // 4 or (not scanned and i == 1)) and len(_gcd(level, _minus_x(level, h), f)) > 1:
             return False
     return True
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import galois_moebius as gm
+from galois_moebius import polyring
 from galois_moebius.errors import (
     DivisionByZero,
     DomainError,
@@ -347,3 +348,27 @@ def test_lex_key_orders_like_the_digit_tuple(level):
     keys = [level.lex_key(a) for a in codes]
     assert len(set(keys)) == level.size
     assert sorted(codes, key=level.lex_key) == sorted(codes, key=lambda a: _tuple_key(level, a))
+
+
+def test_default_moduli_are_searched_once(monkeypatch):
+    tower = gm.build_tower(2, 1, 12)
+
+    def refuse(*args):
+        raise AssertionError("a default modulus was searched again")
+
+    monkeypatch.setattr(polyring, "_irreducible", refuse)
+    assert gm.build_tower(2, 1, 12) is tower
+
+
+@pytest.mark.parametrize("params", [(2, 1, 1), (2, 2, 2), (2, 1, 12), (2, 8, 2)], ids=str)
+def test_char2_tables_match_generic_products(params):
+    # the exp table steps through byte tables of a -> a * gen, and the p-th
+    # powers come from exp/log; both against the generic product and power
+    level = gm.build_tower(*params).top
+    gen, exp = level._generator(), level._exp
+    rng = random.Random(5)
+    picks = rng.sample(range(level.size - 2), min(level.size - 2, 400))
+    assert all(exp[i + 1] == level._mul_generic(exp[i], gen) for i in picks)
+    polyring._frobenius_map(level, [1, 1])
+    picks = rng.sample(range(level.size), min(level.size, 400))
+    assert all(level._pth(c) == level._pow_generic(c, 2) for c in picks)

@@ -1,8 +1,8 @@
 """Every import in the package source is used somewhere in its module, the
 package has one square-and-multiply ladder, one long division per
 polynomial kernel kind, one route to a pure Frobenius fixed set, one
-multiplicative-generator search, and a census that neither works in base-p
-digits nor walks the scalars of its level."""
+multiplicative-generator search, a census that neither works in base-p
+digits nor walks the scalars of its level, and one action table."""
 
 import ast
 from pathlib import Path
@@ -185,3 +185,35 @@ def test_one_generator_search_and_a_census_by_descent():
     assert owners[0] != "_build_exp_log", owners
     assert owners[0] in _called(_function(PACKAGE / "gftower.py", "_build_exp_log"))
     assert owners[0] in _called(fixed)
+
+
+def test_one_action_table():
+    # the table of (a*x + b)**j * (c*x + d)**(k - j) is built by
+    # pgammal._substitution_rows alone and applied by pgammal._apply_table:
+    # moebius_act has no term loop of its own, and invariants neither
+    # builds a term nor multiplies a table row by a coefficient vector
+    owners = [
+        f"{path.name}:{fn.name}"
+        for path in MODULES
+        for fn in ast.walk(ast.parse(path.read_text()))
+        if isinstance(fn, ast.FunctionDef) and fn.name in ("_substitution_rows", "_apply_table")
+    ]
+    assert sorted(owners) == ["pgammal.py:_apply_table", "pgammal.py:_substitution_rows"], owners
+    pgammal = PACKAGE / "pgammal.py"
+    act = _function(pgammal, "moebius_act")
+    assert {"_substitution_rows", "_apply_table"} <= _called(act)
+    assert not [n for n in ast.walk(act) if isinstance(n, (ast.For, ast.While))]
+    assert "moebius_act" not in _called(_function(pgammal, "_fixes"))
+    path = PACKAGE / "invariants.py"
+    tree = ast.parse(path.read_text())
+    assert "reduce" not in _called(tree)
+    # the one polynomial product left is srim's x**(m - j) * (x**2 + 1)**j
+    products = [
+        fn.name
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and "poly_mul" in _called(fn)
+    ]
+    assert products == ["srim_polynomials"], products
+    for name in ("census", "_factored_fixed", "enumerate_invariants"):
+        fn_called = _called(_function(path, name))
+        assert "_fixes" in fn_called and not fn_called & {"is_invariant", "moebius_act"}, name

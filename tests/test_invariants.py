@@ -15,6 +15,7 @@ from galois_moebius.errors import (
     DomainError,
     EvenDegree,
     EvenParameter,
+    InternalInvariantError,
     LevelMismatch,
     NotInvolution,
     SingularMatrix,
@@ -354,6 +355,43 @@ def test_factored_enumeration_runs_no_ddf(monkeypatch, t212):
     got = enumerate_invariants(g, 15)
     assert len(got) == 16
     assert all(f.degree == 15 and is_irreducible(f) and is_invariant(g, f) for f in got)
+
+
+def test_factored_listing_drops_a_factor_the_action_moves(monkeypatch, t212):
+    # the filter after the EDF is a real test: an irreducible of the right
+    # degree that g moves, slipped in among the split factors, is dropped
+    g = Semilinear(Mat2(t212, 2, 3, 2, 0), 2)
+    want = enumerate_invariants(g, 15)
+    rng = random.Random(3)
+    while True:
+        intruder = Poly(t212.top, [rng.randrange(4) for _ in range(15)] + [1])
+        if is_irreducible(intruder) and not is_invariant(g, intruder):
+            break
+    edf, calls = polyring._edf, []
+
+    def edf_and_intruder(*args):
+        calls.append(args)
+        return edf(*args) + [list(intruder.coeffs)]
+
+    monkeypatch.setattr(polyring, "_edf", edf_and_intruder)
+    assert enumerate_invariants(g, 15) == want
+    assert calls
+
+
+def test_census_reverification_refuses_an_unfixed_irreducible(monkeypatch, t212):
+    # the census re-verifies the solver's output: an irreducible that g
+    # moves, slipped in among the fixed points, makes it raise
+    g = Semilinear(Mat2(t212, 0, 1, 1, 0), 1)
+    top = t212.top
+    intruder = next(
+        cs for cs in monic_irreducibles(top, 3) if not is_invariant(g, Poly(top, cs))
+    )
+    solve = invariants._fixed_points
+    monkeypatch.setattr(
+        invariants, "_fixed_points", lambda level, g, k: solve(level, g, k) + [intruder]
+    )
+    with pytest.raises(InternalInvariantError, match="re-verification"):
+        census(g, [3])
 
 
 def test_d1_enumeration_factors_nothing(monkeypatch, t212, t214):

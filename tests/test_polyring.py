@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -373,3 +374,72 @@ def test_factor_recovers_multiplicities_past_the_characteristic(data):
     lc, parts = factor(f)
     assert lc == 1
     assert parts == sorted(want, key=lambda t: (t[0].degree, t[0].lex_key()))
+
+
+# F_2, F_4, F_8 and F_16: the levels where the byte-packed root scan runs
+# before the rung rule; the sieve test above covers odd p up to Q**k = 4096
+BEN_OR_LEVELS = {
+    "F2": lambda: prime_level(2),
+    "F4": lambda: gm.build_tower(2, 1, 2).top,
+    "F8": lambda: gm.build_tower(2, 1, 3).top,
+    "F16": lambda: gm.build_tower(2, 1, 4).top,
+}
+
+
+@pytest.mark.parametrize("name", list(BEN_OR_LEVELS))
+def test_irreducible_equals_the_sieve_on_every_candidate(name):
+    level = BEN_OR_LEVELS[name]()
+    k = 1
+    while level.size**k <= 1 << 16:
+        listed = set(polyring._sieve(level, k, level.elements_lex()))
+        for tail in itertools.product(range(level.size), repeat=k):
+            assert polyring._irreducible(level, [*tail, 1]) == (tail in listed), (name, tail)
+        k += 1
+
+
+def _all_rungs_ben_or(level, f):
+    # gcd(x**(Q**i) - x, f) at every rung i <= k/2, no root scan
+    k = len(f) - 1
+    if k == 1:
+        return True
+    h, qpow = [0, 1], polyring._qpow(level, f)
+    for _ in range(k // 2):
+        h, g = polyring._frobenius_round(level, h, f, qpow)
+        if len(g) > 1:
+            return False
+    return True
+
+
+def test_irreducible_equals_the_all_rungs_ladder_over_f4096():
+    level = gm.build_tower(2, 1, 12).top
+    rng = random.Random(11)
+    irreducible = []
+    for k in range(2, 9):
+        while True:
+            f = [rng.randrange(1, level.size)] + [rng.randrange(level.size) for _ in range(k - 1)] + [1]
+            if _all_rungs_ben_or(level, f):
+                irreducible.append(f)
+                break
+    cases = [[rng.randrange(level.size) for _ in range(rng.randrange(1, 10))] + [1] for _ in range(40)]
+    # products of two irreducibles put the first factor at every rung
+    cases += [level.poly_mul(f, g) for f in irreducible for g in irreducible[:3]]
+    cases += irreducible
+    verdicts = [polyring._irreducible(level, f) for f in cases]
+    assert verdicts == [_all_rungs_ben_or(level, f) for f in cases]
+    assert verdicts.count(True) >= len(irreducible)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_packed_root_scan_equals_horner(n):
+    # every char-2 row level F_(2**n), n <= 8, as a top and (2,2,2) too
+    levels = [gm.build_tower(2, 1, n).top] + ([gm.build_tower(2, 2, n // 2).top] if n % 2 == 0 else [])
+    rng = random.Random(n)
+    for level in levels:
+        Q = level.size
+        for k in range(1, 7):
+            for _ in range(20):
+                f = [rng.randrange(Q) for _ in range(k)] + [1]
+                if rng.random() < 0.3:
+                    f[0] = 0
+                horner = any(not polyring._eval(level, f, a) for a in range(Q))
+                assert polyring._has_root(level, f) == horner, (level, f)

@@ -63,9 +63,10 @@ from .numtheory import divisors, euler_phi, moebius_mu, prime_power_split
 from .pgammal import (
     Mat2,
     Semilinear,
+    _acting_level,
     _apply_table,
     _fixes,
-    _substitution_rows,
+    _substitution_columns,
     fixing_polynomial_twisted,
     moebius_act,
     proj_order,
@@ -122,12 +123,13 @@ def is_invariant(g, f: Poly) -> bool:
 
     A matrix alone is read as the plain fractional linear action.  An
     image whose degree collapses (a root going to infinity) counts as not
-    fixed."""
+    fixed.  The test is pgammal._fixes, the one the census and the
+    listings re-verify with: one product with the action's substitution
+    table, the table moebius_act applies."""
     g = _as_semilinear(g)
     if not isinstance(f, Poly) or not f.is_monic:
         raise DomainError("invariance is defined for monic polynomials")
-    image = moebius_act(g.mat, frobenius_poly(f, g.frob), strict=False)
-    return image is not None and image == f
+    return _fixes(g, _acting_level(g.mat, f), f.degree)(f.coeffs)
 
 
 def admissible_shifts(s: int, span: int, factor_order: int) -> tuple[int, ...]:
@@ -249,7 +251,7 @@ def _pure_frobenius_fixed(level, frob: int, k: int, move=None) -> tuple[Poly, ..
         listing = ((*tail, 1) for tail in polyring._sieve(level, k, subfield))
     if move is None:
         return tuple(Poly(level, cs) for cs in listing)
-    T = _substitution_rows(level, move, k)
+    T = _substitution_columns(level, move, k)
     out = [Poly(level, polyring._monic(level, _apply_table(level, T, cs))) for cs in listing]
     return tuple(sorted(out, key=Poly.lex_key))
 
@@ -422,7 +424,7 @@ def _fixed_points(level, g: Semilinear, k: int):
     """Every monic polynomial of degree k over the level fixed by g,
     reducible ones included, as coefficient tuples with the leading 1.
 
-    With T from _substitution_rows, f is fixed exactly when the image
+    With T from _substitution_columns, f is fixed exactly when the image
     T * sigma(f) is L * f for some L != 0 (L = 0: a root goes to
     infinity).  Let sigma have order m on the level (n / gcd(g.frob, n)
     on a level of Galois degree n) and fixed field F_Q0.  Applied m times
@@ -439,9 +441,9 @@ def _fixed_points(level, g: Semilinear, k: int):
     mul, add, sub, frob, idx = level.mul, level.add, level.sub, level.frob, g.frob
     n = level.gal_degree
     m = n // gcd(idx, n)
-    T = _substitution_rows(level, g.mat, k)
+    T = _substitution_columns(level, g.mat, k)
     B = twisted_product(g.mat, m, idx)
-    P = _substitution_rows(level, B, k)
+    P = list(zip(*_substitution_columns(level, B, k)))  # by rows
     a, b, c, d = B.entries
     det = sub(mul(a, d), mul(b, c))
     mu = polyring._roots(level, [det, level.neg(add(a, d)), 1])
@@ -467,7 +469,7 @@ def _fixed_points(level, g: Semilinear, k: int):
             continue
         if m > 1:
             scale = level.pow(gen, 1 - scalars.index(N))
-            W = _descend(level, [[mul(scale, x) for x in row] for row in T], idx, W, gen, m)
+            W = _descend(level, [[mul(scale, x) for x in col] for col in T], idx, W, gen, m)
         # each F_Q0-line once, from its first nonzero coordinate over W:
         # w plus every combination of the later basis vectors, each
         # combination extending one of its prefix

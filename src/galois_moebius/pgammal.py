@@ -19,7 +19,6 @@ Frobenius indices are stored in 1..n with n meaning the identity map.
 from __future__ import annotations
 
 import itertools
-from functools import reduce
 from math import gcd
 
 from . import polyring
@@ -238,11 +237,11 @@ class Semilinear:
         return f"Semilinear<{self.mat.to_text()} | frob={self.frob}>"
 
 
-def _substitution_rows(level, mat: Mat2, k: int, columns=None):
-    """T[i][j], the x**i coefficient of (a*x + b)**j * (c*x + d)**(k - j),
-    so that the action's image of a degree-k polynomial with coefficients
-    c_j has x**i coefficient sum(T[i][j] * c_j).  Only the given columns j
-    are built (all by default); the others stay zero."""
+def _substitution_columns(level, mat: Mat2, k: int, js=None):
+    """T[j], the coefficients of (a*x + b)**j * (c*x + d)**(k - j) padded
+    to k + 1, so that the action's image of a degree-k polynomial with
+    coefficients c_j is sum(c_j * T[j]).  Only the columns j in js are
+    built (all by default); the others stay zero."""
     a, b, c, d = mat.entries
     num, den = polyring._trim([b, a]), polyring._trim([d, c])
     npow, dpow = [[1]], [[1]]
@@ -251,28 +250,32 @@ def _substitution_rows(level, mat: Mat2, k: int, columns=None):
         dpow.append(level.poly_mul(dpow[-1], den))
     # columns not built share one zero list, which is never written
     cols = [[0] * (k + 1)] * (k + 1)
-    for j in range(k + 1) if columns is None else columns:
+    for j in range(k + 1) if js is None else js:
         term = level.poly_mul(npow[j], dpow[k - j])
         cols[j] = term + [0] * (k + 1 - len(term))
-    return list(zip(*cols))
+    return cols
 
 
 def _apply_table(level, T, cs):
-    """The table product T * cs, coefficient list against coefficient list;
-    on row levels each T[i][j] * c_j is a lookup in c_j's multiplication
-    row."""
-    add, rows = level.add, level._mul_rows
-    if rows is None:
-        return [reduce(add, map(level.mul, row, cs)) for row in T]
-    scaled = [rows[c] or level._build_mul_row(c) for c in cs]
-    return [reduce(add, map(list.__getitem__, scaled, row)) for row in T]
+    """The table product sum(c_j * T[j]), one scaled column per nonzero
+    c_j; on row levels each c_j * T[j][i] is a lookup in c_j's
+    multiplication row."""
+    add, rows, acc = level.add, level._mul_rows, None
+    for col, c in zip(T, cs):
+        if c:
+            if rows is None:
+                scaled = [level.mul(c, t) for t in col]
+            else:
+                scaled = map((rows[c] or level._build_mul_row(c)).__getitem__, col)
+            acc = list(scaled) if acc is None else list(map(add, acc, scaled))
+    return acc or [0] * len(T)
 
 
 def _fixes(g: Semilinear, level, k: int):
     """A test of whether g fixes a monic coefficient vector of degree k over
     the level: the action's table, built once here, and one table product
     per vector."""
-    T = _substitution_rows(level, g.mat, k)
+    T = _substitution_columns(level, g.mat, k)
     frob, i = level.frob, g.frob
 
     def fixed(cs):
@@ -280,6 +283,19 @@ def _fixes(g: Semilinear, level, k: int):
         return bool(image[k]) and polyring._monic(level, image) == list(cs)
 
     return fixed
+
+
+def _acting_level(mat: Mat2, f: Poly):
+    """f's level, once f is a Poly of degree >= 1 over a level of the
+    matrix's tower that holds the matrix entries."""
+    if not isinstance(f, Poly):
+        raise DomainError(f"expected a Poly, got {type(f).__name__}")
+    level = mat.tower._own(f.level)
+    if max(mat.entries) >= level.size:
+        raise DomainError("matrix entries do not lie in the coefficient field")
+    if f.degree < 1:
+        raise DegreeTooSmall("the action needs degree >= 1")
+    return level
 
 
 def moebius_act(mat: Mat2, f: Poly, strict: bool = True) -> Poly | None:
@@ -291,15 +307,9 @@ def moebius_act(mat: Mat2, f: Poly, strict: bool = True) -> Poly | None:
     collapses; strict mode raises, otherwise None comes back.  The image
     is one product with the substitution table, built only in the columns
     of f's nonzero coefficients."""
-    if not isinstance(f, Poly):
-        raise DomainError(f"expected a Poly, got {type(f).__name__}")
-    level = mat.tower._own(f.level)
-    if max(mat.entries) >= level.size:
-        raise DomainError("matrix entries do not lie in the coefficient field")
+    level = _acting_level(mat, f)
     k = f.degree
-    if k < 1:
-        raise DegreeTooSmall("the action needs degree >= 1")
-    T = _substitution_rows(level, mat, k, [j for j, cj in enumerate(f.coeffs) if cj])
+    T = _substitution_columns(level, mat, k, [j for j, cj in enumerate(f.coeffs) if cj])
     acc = polyring._trim(_apply_table(level, T, f.coeffs))
     if len(acc) - 1 != k:
         if strict:

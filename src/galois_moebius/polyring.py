@@ -15,7 +15,7 @@ concurrent calls never share state.
 Irreducibility is Ben-Or's test with gcds only at the rungs i in
 (k/4, k/2] of the ladder x**(Q**i) mod f, after a root scan on levels of
 at most 256 elements (byte-packed in characteristic 2, Horner with an
-early exit for odd p) and with rung 1 kept on larger levels.
+early exit for odd p).
 
 Products modulo more than _PACK_CUTOVER coefficients run packed (_mulmod):
 one bigint product of Kronecker-packed ints and a Barrett remainder with a
@@ -462,8 +462,9 @@ def _irreducible(level, f) -> bool:
     """Ben-Or's test: f of degree k is irreducible exactly when it has no
     irreducible factor of degree d <= k/2.  Every such d divides some i in
     (k//4, k//2], so the ladder x**(Q**i) mod f, i <= k//2, takes
-    gcd(x**(Q**i) - x, f) only at those rungs, and at rung 1 on levels of
-    more than 256 elements, where no root scan (_has_root) ran first."""
+    gcd(x**(Q**i) - x, f) only at those rungs.  On levels of at most 256
+    elements a root scan (_has_root) runs first, and turns away the many
+    candidates with a linear factor before any ladder is built."""
     f = _monic(level, _trim(list(f)))
     k = len(f) - 1
     if k <= 0:
@@ -472,13 +473,12 @@ def _irreducible(level, f) -> bool:
         return True
     if not f[0]:
         return False
-    scanned = level.size <= 256
-    if scanned and _has_root(level, f):
+    if level.size <= 256 and _has_root(level, f):
         return False
     h, qpow = [0, 1], _qpow(level, f)
     for i in range(1, k // 2 + 1):
         h = qpow(h)
-        if (i > k // 4 or (not scanned and i == 1)) and len(_gcd(level, _minus_x(level, h), f)) > 1:
+        if i > k // 4 and len(_gcd(level, _minus_x(level, h), f)) > 1:
             return False
     return True
 

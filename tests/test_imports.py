@@ -189,19 +189,20 @@ def test_one_generator_search_and_a_census_by_descent():
 
 def test_one_action_table():
     # the table of (a*x + b)**j * (c*x + d)**(k - j) is built by
-    # pgammal._substitution_rows alone and applied by pgammal._apply_table:
-    # moebius_act has no term loop of its own, and invariants neither
-    # builds a term nor multiplies a table row by a coefficient vector
+    # pgammal._substitution_columns alone and applied by
+    # pgammal._apply_table: moebius_act has no term loop of its own,
+    # invariants neither builds a term nor multiplies a table by a
+    # coefficient vector, and is_invariant is the listings' own _fixes
     owners = [
         f"{path.name}:{fn.name}"
         for path in MODULES
         for fn in ast.walk(ast.parse(path.read_text()))
-        if isinstance(fn, ast.FunctionDef) and fn.name in ("_substitution_rows", "_apply_table")
+        if isinstance(fn, ast.FunctionDef) and fn.name in ("_substitution_columns", "_apply_table")
     ]
-    assert sorted(owners) == ["pgammal.py:_apply_table", "pgammal.py:_substitution_rows"], owners
+    assert sorted(owners) == ["pgammal.py:_apply_table", "pgammal.py:_substitution_columns"], owners
     pgammal = PACKAGE / "pgammal.py"
     act = _function(pgammal, "moebius_act")
-    assert {"_substitution_rows", "_apply_table"} <= _called(act)
+    assert {"_substitution_columns", "_apply_table"} <= _called(act)
     assert not [n for n in ast.walk(act) if isinstance(n, (ast.For, ast.While))]
     assert "moebius_act" not in _called(_function(pgammal, "_fixes"))
     path = PACKAGE / "invariants.py"
@@ -214,6 +215,6 @@ def test_one_action_table():
         if isinstance(fn, ast.FunctionDef) and "poly_mul" in _called(fn)
     ]
     assert products == ["srim_polynomials"], products
-    for name in ("census", "_factored_fixed", "enumerate_invariants"):
+    for name in ("census", "_factored_fixed", "enumerate_invariants", "is_invariant"):
         fn_called = _called(_function(path, name))
         assert "_fixes" in fn_called and not fn_called & {"is_invariant", "moebius_act"}, name

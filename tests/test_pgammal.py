@@ -29,7 +29,8 @@ from galois_moebius.pgammal import (
     twisted_product,
 )
 from galois_moebius.polyring import Poly, frobenius_poly, is_irreducible
-from galois_moebius import polyring
+from galois_moebius import invariants, polyring
+from galois_moebius.invariants import is_invariant
 
 
 def test_mat2_basics(t212):
@@ -351,6 +352,34 @@ def test_semilinear_act_equals_parts(t212):
     g = Semilinear(Mat2(t212, 0, 1, 1, 0), 1)
     f = Poly(t212.top, [2, 1, 1])
     assert semilinear_act(g, f) == moebius_act(g.mat, frobenius_poly(f, 1))
+
+
+@pytest.mark.parametrize("params", [(2, 1, 2), (3, 1, 2), (2, 1, 4)], ids=["F4", "F9", "F16"])
+def test_action_table_equals_the_substitution_in_poly_arithmetic(params):
+    # moebius_act's image and is_invariant's verdict, both one product with
+    # the action table, against sum(c_j * (a*x + b)**j * (c*x + d)**(k - j))
+    # in Poly arithmetic, on random, sparse and fixed polynomials
+    tower = gm.build_tower(*params)
+    level, rng = tower.top, random.Random(5)
+    fixed = 0
+    for _ in range(30):
+        g = random_semilinear(tower, rng)
+        a, b, c, d = g.mat.entries
+        num, den = Poly(level, [b, a]), Poly(level, [d, c])
+        k = rng.randrange(1, 6)
+        cases = [Poly(level, [rng.randrange(level.size) for _ in range(k)] + [1]) for _ in range(4)]
+        cases += [Poly(level, [rng.randrange(1, level.size)] + [0] * (k - 1) + [1])]
+        cases += [Poly(level, cs) for cs in invariants._fixed_points(level, g, k)[:4]]
+        for f in cases:
+            cs = frobenius_poly(f, g.frob).coeffs
+            image = Poly.zero(level)
+            for j, cj in enumerate(cs):
+                image = image + (num**j * den ** (k - j)).scale(cj)
+            want = image.monic() if image.degree == k else None
+            assert moebius_act(g.mat, frobenius_poly(f, g.frob), strict=False) == want
+            assert is_invariant(g, f) == (want == f)
+            fixed += want == f
+    assert fixed >= 30
 
 
 @pytest.mark.parametrize(

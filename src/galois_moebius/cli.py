@@ -92,7 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="auto tries the enumeration and falls back to the census",
     )
-    inv.add_argument("--seed", type=int, default=0)
     inv.add_argument(
         "--cap-enum",
         type=int,
@@ -174,9 +173,7 @@ def _cmd_invariants(args):
     if method in ("auto", "enum"):
         try:
             plan = plan_enumeration(g, args.degree, cap=args.cap_enum)
-            polys = enumerate_invariants(
-                g, args.degree, cap=args.cap_enum, seed=args.seed
-            )
+            polys = enumerate_invariants(g, args.degree, cap=args.cap_enum)
             method = "enum"
             fields = ("feasible", "reason", "frob_index", "span",
                       "factor_order", "s", "shifts", "twists")
@@ -197,7 +194,6 @@ def _cmd_invariants(args):
         "frob": g.frob,
         "degree": args.degree,
         "method": method,
-        "seed": args.seed,
     }
     result = {"count": len(tokens), "polynomials": tokens}
     if plan_doc is not None:

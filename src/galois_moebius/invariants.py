@@ -39,6 +39,7 @@ those raise DegreeTooSmall and are served by the census instead.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -59,7 +60,7 @@ from .errors import (
     NotInvolution,
 )
 from .gftower import FieldTower, Level
-from .numtheory import divisors, euler_phi, moebius_mu, prime_power_split
+from .numtheory import divisors, euler_phi, prime_power_split
 from .pgammal import (
     Mat2,
     Semilinear,
@@ -104,9 +105,6 @@ __all__ = [
     "involution_ratio_check",
     "TrendPoint",
     "asymptotic_report",
-    "divisors",
-    "euler_phi",
-    "moebius_mu",
 ]
 
 
@@ -164,10 +162,18 @@ class EnumerationPlan:
     pure_frobenius: bool  # reduced matrix is projectively the identity
 
 
+def _twisted_order(g: Semilinear):
+    """(reduced, span, D): g's power with the least Frobenius index t
+    (reduce_frobenius_index), the orbit length span = n/t, and the
+    projective order D of the reduced element's twisted product over one
+    orbit."""
+    reduced = reduce_frobenius_index(g)
+    span = g.tower.n // reduced.frob
+    return reduced, span, proj_order((reduced**span).mat)
+
+
 def plan_enumeration(g, degree: int, cap: int | None = DEFAULT_ENUM_CAP) -> EnumerationPlan:
     g = _as_semilinear(g)
-    tower = g.tower
-    n = tower.n
     if not isinstance(degree, int):
         raise DomainError(f"degree must be an int, got {degree!r}")
     if cap is not None and not isinstance(cap, int):
@@ -176,28 +182,14 @@ def plan_enumeration(g, degree: int, cap: int | None = DEFAULT_ENUM_CAP) -> Enum
         raise DegreeTooSmall(
             "enumeration covers degrees > 2 only; use the census for 1 and 2"
         )
-    reduced = reduce_frobenius_index(g)
+    reduced, span, D = _twisted_order(g)
     t = reduced.frob
-    span = n // t
-    D = proj_order((reduced**span).mat)
-    base_power = tower.q**t
-    pure = reduced.mat.is_scalar()
-
-    def plan(s, shifts, twists, feasible, reason):
-        return EnumerationPlan(
-            degree,
-            t,
-            span,
-            base_power,
-            D,
-            s,
-            shifts,
-            twists,
-            feasible,
-            reason,
-            reduced,
-            pure,
-        )
+    base_power = g.tower.q**t
+    # plan(s, shifts, twists, feasible, reason)
+    plan = functools.partial(
+        EnumerationPlan, degree, t, span, base_power, D,
+        reduced=reduced, pure_frobenius=reduced.mat.is_scalar(),
+    )
 
     if degree % D:
         return plan(0, (), (), False, f"degree is not a multiple of {D}")
@@ -280,17 +272,19 @@ def _conjugator(g: Semilinear) -> Mat2:
     )
 
 
-def _factored_fixed(g: Semilinear, plan: EnumerationPlan, cap, seed: int):
+def _factored_fixed(g: Semilinear, plan: EnumerationPlan):
     """Fix(g) from the degree-k irreducible factors of the plan's twisted
     fixing polynomials that the action fixes, each tested by one product
     with the action's table (pgammal._fixes).  The degree-k part and the
     EDF's traces come from the Q-power map modulo the four-term F_j, a
-    spread and a sparse remainder per round (polyring._frobenius_map)."""
+    spread and a sparse remainder per round (polyring._frobenius_map).
+    The plan has checked the fixing polynomials' degree against its cap;
+    the EDF's draws change only the running time."""
     level, degree, t, s = g.tower.top, plan.degree, plan.frob_index, plan.s
-    rng = random.Random(seed)
+    rng = random.Random(0)
     factors = set()
     for j in plan.twists:
-        target = fixing_polynomial_twisted(plan.reduced.mat, j, j + s, step=t, cap=cap)
+        target = fixing_polynomial_twisted(plan.reduced.mat, j, j + s, step=t)
         coeffs = list(target.monic().coeffs)
         qpow = polyring._frobenius_map(level, coeffs)
         part = polyring._degree_part(level, coeffs, degree, qpow)
@@ -303,21 +297,21 @@ def _factored_fixed(g: Semilinear, plan: EnumerationPlan, cap, seed: int):
 
 
 def enumerate_invariants(
-    g, degree: int, cap: int | None = DEFAULT_ENUM_CAP, seed: int = 0
+    g, degree: int, cap: int | None = DEFAULT_ENUM_CAP
 ) -> tuple[Poly, ...]:
     """All monic irreducible polynomials of the given degree (> 2, with
     degree/D > 2) fixed by g, in lexicographic order, without scanning: a
     pure Frobenius sigma_t from _pure_frobenius_fixed, any other D = 1
     element by conjugation to one through three of its fixed points on
     the projective line (each result re-verified through the action),
-    D > 1 by factoring twisted fixing polynomials; the seed drives only
-    the D > 1 factoring's random splits."""
+    D > 1 by factoring twisted fixing polynomials, whose random splits
+    change only the running time."""
     g = _as_semilinear(g)
     plan = plan_enumeration(g, degree, cap=cap)
     if not plan.feasible:
         return ()
     if plan.factor_order > 1:
-        return _factored_fixed(g, plan, cap, seed)
+        return _factored_fixed(g, plan)
     # D = 1: a pure Frobenius sigma_t, or conjugate to one by [H, id]
     move = None if plan.pure_frobenius else _conjugator(plan.reduced).inv()
     top = g.tower.top
@@ -709,13 +703,8 @@ def srim_polynomials(level: Level, degree: int) -> tuple[Poly, ...]:
     out = []
     for tail in polyring._sieve(level, m, level.elements_lex()):
         g = (*tail, 1)
-        if not keep(g):
-            continue
-        f = [0] * (degree + 1)
-        for gj, row in zip(g, rows):
-            if gj:
-                f = [add(a, mul(gj, b)) for a, b in zip(f, row)]
-        out.append(Poly(level, f))
+        if keep(g):
+            out.append(Poly(level, _apply_table(level, rows, g)))
     return tuple(sorted(out, key=Poly.lex_key))
 
 
@@ -867,16 +856,14 @@ class TrendPoint:
 
 
 def asymptotic_report(
-    g, s_values, cap: int | None = DEFAULT_ENUM_CAP, seed: int = 0
+    g, s_values, cap: int | None = DEFAULT_ENUM_CAP
 ) -> tuple[TrendPoint, ...]:
     """Exact invariant counts against the leading-term prediction
     euler_phi(D) * q**s / (D * s), one point per degree scale s."""
     g = _as_semilinear(g)
     if isinstance(s_values, str) or not hasattr(s_values, "__iter__"):
         raise DomainError(f"degree scales must be a list of ints, got {s_values!r}")
-    reduced = reduce_frobenius_index(g)
-    span = g.tower.n // reduced.frob
-    D = proj_order((reduced**span).mat)
+    D = _twisted_order(g)[2]
     points = []
     for s in s_values:
         if not isinstance(s, int):
@@ -885,7 +872,7 @@ def asymptotic_report(
         plan = plan_enumeration(g, degree, cap=cap)
         if not plan.feasible:
             raise DomainError(f"scale s={s} is infeasible here: {plan.reason}")
-        count = len(enumerate_invariants(g, degree, cap=cap, seed=seed))
+        count = len(enumerate_invariants(g, degree, cap=cap))
         R = plan.base_power
         phi = euler_phi(D)
         predicted = phi * R**plan.s / (D * plan.s)

@@ -8,9 +8,10 @@ tower the level is, so the same code factors over F_2, F_81 or an
 on-demand splitting field.
 
 Factorization is squarefree decomposition, then distinct-degree splitting,
-then equal-degree splitting with one trace per random draw, drawn from a
-local random.Random seeded by the caller, so runs are reproducible and
-concurrent calls never share state.
+then equal-degree splitting with one trace per random draw.  The draws
+come from a local random.Random with a fixed seed, so runs are
+reproducible and concurrent calls never share state; they change only
+the running time, never the factors.
 
 Irreducibility is Ben-Or's test with gcds only at the rungs i in
 (k/4, k/2] of the ladder x**(Q**i) mod f, after a root scan on levels of
@@ -354,15 +355,6 @@ def _minus_x(level, h):
     return _trim(hx)
 
 
-def _frobenius_round(level, h, f, qpow):
-    """One step of the x**(Q**i) ladder modulo the monic f: from
-    h = x**(Q**i) mod f to qpow(h) = h**Q mod f (qpow from _qpow(level, f)),
-    returned with gcd(h**Q - x, f), the product of the distinct
-    irreducible factors of f whose degree divides i + 1."""
-    h = qpow(h)
-    return h, _gcd(level, _minus_x(level, h), f)
-
-
 def _frobenius_map(level, m):
     """h -> h**Q mod the monic m without multiplying: for Q = p**f, f
     rounds of h -> sum(h_i**p * x**(i*p)), a spread by p and a remainder,
@@ -520,7 +512,8 @@ def _ddf(level, f):
     h, qpow = [0, 1], _qpow(level, rem)
     i = 1
     while len(rem) - 1 >= 2 * i:
-        h, g = _frobenius_round(level, h, rem, qpow)
+        h = qpow(h)
+        g = _gcd(level, _minus_x(level, h), rem)
         if len(g) > 1:
             out.append((i, g))
             rem = _exact_div(level, rem, g)
@@ -607,18 +600,18 @@ def _edf(level, f, d, rng, qpow=None):
         pending = [w for w, _ in work]
 
 
-def _factor(level, f, seed=0):
+def _factor(level, f):
     """Full factorization of a nonzero f.
 
     Returns (lc, [(coeffs, multiplicity)]) with monic irreducible parts
-    sorted by degree then lexicographic key.
+    sorted by degree then lexicographic key, whatever the EDF draws.
     """
     f = _trim(list(f))
     if not f:
         raise DomainError("cannot factor the zero polynomial")
     lc = f[-1]
     f = _monic(level, f)
-    rng = random.Random(seed)
+    rng = random.Random(0)
     parts = []
     if len(f) > 1:
         for g, mult in _squarefree_decomposition(level, f):
@@ -647,7 +640,7 @@ def _roots(level, f):
     if len(f) > 1:
         # strip to the part that splits in this field, then split off roots
         f = _monic(level, f)
-        _, lin = _frobenius_round(level, [0, 1], f, _qpow(level, f))
+        lin = _degree_part(level, f, 1, _qpow(level, f))
         if len(lin) > 1:
             # one root (the monic lin is x - root) needs no random split
             parts = [lin] if len(lin) == 2 else _edf(level, lin, 1, random.Random(0xC0FFEE))
@@ -791,14 +784,13 @@ def is_irreducible(f: Poly) -> bool:
     return _irreducible(f.level, list(f.coeffs))
 
 
-def factor(f: Poly, seed: int = 0) -> tuple[int, list[tuple[Poly, int]]]:
+def factor(f: Poly) -> tuple[int, list[tuple[Poly, int]]]:
     """Factor f into (leading coefficient, [(monic irreducible, mult)]).
 
-    The list is sorted by degree then lexicographic coefficient key, so the
-    output is independent of the seed; the seed only steers the internal
-    equal-degree splitting walk.
+    The list is sorted by degree then lexicographic coefficient key; the
+    equal-degree split's random draws change only the running time.
     """
-    lc, parts = _factor(f.level, list(f.coeffs), seed)
+    lc, parts = _factor(f.level, list(f.coeffs))
     return lc, [(Poly(f.level, cs), m) for cs, m in parts]
 
 

@@ -73,6 +73,27 @@ def test_invariants_enum(capsys):
     }
 
 
+def test_invariants_params_keys(capsys):
+    # the fixed set does not depend on any random draw, so the envelope
+    # records no seed and the subcommand takes none
+    for method in ("enum", "census"):
+        code, out, _ = run(
+            capsys,
+            "invariants", "--p", "2", "--n", "2", "--matrix", "0;1;1;0",
+            "--frob", "1", "--degree", "3", "--method", method, "--output", "json",
+        )
+        assert code == 0
+        params = json.loads(out)["params"]
+        assert set(params) == {"p", "e", "n", "matrix", "frob", "degree", "method"}
+        assert params["method"] == method
+    code, _, err = run(
+        capsys,
+        "invariants", "--p", "2", "--n", "2", "--matrix", "0;1;1;0",
+        "--degree", "3", "--seed", "1",
+    )
+    assert code == 2 and "--seed" in err
+
+
 def test_invariants_plan_json(capsys):
     code, out, _ = run(
         capsys,

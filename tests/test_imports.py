@@ -2,7 +2,9 @@
 package has one square-and-multiply ladder, one long division per
 polynomial kernel kind, one route to a pure Frobenius fixed set, one
 multiplicative-generator search, a census that neither works in base-p
-digits nor walks the scalars of its level, and one action table."""
+digits nor walks the scalars of its level, one action table, one ladder
+for the product of a polynomial's distinct factors of one degree, and one
+derivation of an element's twisted order."""
 
 import ast
 from pathlib import Path
@@ -192,7 +194,8 @@ def test_one_action_table():
     # pgammal._substitution_columns alone and applied by
     # pgammal._apply_table: moebius_act has no term loop of its own,
     # invariants neither builds a term nor multiplies a table by a
-    # coefficient vector, and is_invariant is the listings' own _fixes
+    # coefficient vector (srim's rows go through _apply_table too), and
+    # is_invariant is the listings' own _fixes
     owners = [
         f"{path.name}:{fn.name}"
         for path in MODULES
@@ -215,6 +218,24 @@ def test_one_action_table():
         if isinstance(fn, ast.FunctionDef) and "poly_mul" in _called(fn)
     ]
     assert products == ["srim_polynomials"], products
+    assert "_apply_table" in _called(_function(path, "srim_polynomials"))
     for name in ("census", "_factored_fixed", "enumerate_invariants", "is_invariant"):
         fn_called = _called(_function(path, name))
         assert "_fixes" in fn_called and not fn_called & {"is_invariant", "moebius_act"}, name
+
+
+def test_one_degree_part_ladder_and_one_twisted_order():
+    # the roots take gcd(x**Q - x, f) from _degree_part, the ladder the
+    # factoring route uses, with no one-step helper beside it; plan and
+    # asymptotics share one derivation of (reduced, span, D)
+    polyring = PACKAGE / "polyring.py"
+    defs = {n.name for n in ast.walk(ast.parse(polyring.read_text())) if isinstance(n, ast.FunctionDef)}
+    assert "_frobenius_round" not in defs
+    assert "_degree_part" in _called(_function(polyring, "_roots"))
+    tree = ast.parse((PACKAGE / "invariants.py").read_text())
+    callers = [
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and "reduce_frobenius_index" in _called(fn)
+    ]
+    assert len(callers) == 1, callers

@@ -292,7 +292,7 @@ def test_d1_enumeration_matches_factoring_and_census(g):
         if not plan.feasible or plan.base_power**k > 1 << 9:
             continue
         got = enumerate_invariants(g, k)
-        assert got == invariants._factored_fixed(g, plan, None, 0), k
+        assert got == invariants._factored_fixed(g, plan), k
         if tower.top.size**k <= 1 << 16:
             assert got == census(g, [k]).entries[0].polynomials, k
     h = Semilinear(invariants._conjugator(reduced))

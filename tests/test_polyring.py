@@ -188,6 +188,51 @@ def test_edf_rejects_mixed_degree_input(t212):
         polyring._edf(level, f, 3, random.Random(0))
 
 
+# F_4, F_9 and F_16 = (2,2,2) at degrees d with Q**d <= 4096; "F4-packed"
+# splits more than _PACK_CUTOVER // 3 cubics over F_4, so the modulus is
+# packed and the traces run on the Barrett kernel
+EDF_LEVELS = {
+    "F4": lambda: gm.build_tower(2, 1, 2).top,
+    "F9": lambda: gm.build_tower(3, 1, 2).top,
+    "F16-nested": lambda: gm.build_tower(2, 2, 2).top,
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_edf_factors_do_not_depend_on_the_draws(data):
+    # the equal-degree split is a random walk whose draws change only the
+    # running time: two streams give the same sorted factors, which
+    # multiply back to f
+    name = data.draw(st.sampled_from([*EDF_LEVELS, "F4-packed"]), label="level")
+    if name == "F4-packed":
+        level, d = EDF_LEVELS["F4"](), 3
+        count = polyring._PACK_CUTOVER // d + 1
+    else:
+        level = EDF_LEVELS[name]()
+        d = data.draw(st.sampled_from([k for k in (1, 2, 3) if level.size**k <= 4096]), label="d")
+        count = 2
+    pool = monic_irreducibles(level, d)
+    picks = data.draw(
+        st.lists(st.sampled_from(pool), min_size=count, max_size=count + 4, unique=True),
+        label="factors",
+    )
+    f = [1]
+    for cs in picks:
+        f = level.poly_mul(f, list(cs))
+    if name == "F4-packed":
+        assert polyring._barrett(level, f) is not None
+    streams = data.draw(
+        st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=2, unique=True), label="streams"
+    )
+    runs = [sorted(map(tuple, polyring._edf(level, f, d, random.Random(s)))) for s in streams]
+    assert runs[0] == runs[1] == sorted(picks)
+    prod = [1]
+    for cs in runs[0]:
+        prod = level.poly_mul(prod, list(cs))
+    assert prod == f
+
+
 def test_monic_irreducibles_census(f9):
     for k in (1, 2, 3):
         got = monic_irreducibles(f9, k)
@@ -404,7 +449,8 @@ def _all_rungs_ben_or(level, f):
         return True
     h, qpow = [0, 1], polyring._qpow(level, f)
     for _ in range(k // 2):
-        h, g = polyring._frobenius_round(level, h, f, qpow)
+        h = qpow(h)
+        g = polyring._gcd(level, polyring._minus_x(level, h), f)
         if len(g) > 1:
             return False
     return True
